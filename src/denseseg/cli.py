@@ -70,7 +70,7 @@ def _add_crf_flags(parser) -> None:
     parser.add_argument("--sigma-alpha", type=float, default=60.0)
     parser.add_argument("--sigma-beta", type=float, default=5.0)
     parser.add_argument("--sigma-gamma", type=float, default=3.0)
-    parser.add_argument("--backend", choices=("exact", "lattice"), default="exact")
+    parser.add_argument("--backend", choices=("exact", "lattice"), default="lattice")
 
 
 def build_parser() -> argparse.ArgumentParser:

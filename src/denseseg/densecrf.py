@@ -22,20 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabelMap, RgbImage, ShapeError
-from .hdfilter import (
-    FeaturePoints,
-    gaussian_filter_exact,
-    lattice_build,
-    lattice_filter,
-)
+from .hdfilter import FeaturePoints, PermutohedralLattice, gaussian_filter_exact
 from .metrics import confusion, mean_iou
 
 PROB_CLAMP = 1e-20
 BACKENDS = ("exact", "lattice")
 
-# Largest pixel count for which the bilateral kernel's row masses are
-# computed exactly (one all-pairs pass at filter-build time). Above this
-# the lattice's own mass estimate is used instead.
+# Largest pixel count for which all-pairs O(n^2) work is done: the exact
+# backend refuses larger images, and the lattice backend computes the
+# bilateral kernel's row masses exactly up to it (one all-pairs pass at
+# filter-build time). Above this the lattice's own mass estimate is used.
 EXACT_MASS_MAX_PIXELS = 4096
 
 DEFAULT_WEIGHT_BILATERAL = 4.0
@@ -127,18 +123,6 @@ class MeanFieldState:
         return self.q.shape[2]
 
 
-class PottsCompat:
-    """Label compatibility: unit penalty for disagreement, none for agreement."""
-
-    @staticmethod
-    def penalty(a: int, b: int) -> float:
-        return 0.0 if a == b else 1.0
-
-    @staticmethod
-    def matrix(labels: int) -> np.ndarray:
-        return 1.0 - np.eye(labels)
-
-
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """Rowwise softmax along the last axis, dtype-preserving."""
     shifted = z - z.max(axis=-1, keepdims=True)
@@ -191,6 +175,10 @@ def spatial_features(height: int, width: int, sigma_gamma: float) -> FeaturePoin
     return FeaturePoints(feats)
 
 
+def _kernel_scales(params: PairwiseParams) -> tuple[float, float, float]:
+    return (params.sigma_alpha, params.sigma_beta, params.sigma_gamma)
+
+
 def _spatial_row_masses(height: int, width: int, sigma_gamma: float) -> np.ndarray:
     """Exact per-pixel sums of the spatial kernel over the whole grid.
 
@@ -206,11 +194,13 @@ def _spatial_row_masses(height: int, width: int, sigma_gamma: float) -> np.ndarr
 
 
 class PairwiseFilters:
-    """Kernel filtering structures for one (image, params, backend) triple.
+    """Kernel filtering structures for one image, backend and kernel scales.
 
     Feature geometry never changes across iterations, so the structures are
-    built once and reused; `require` guards against silently filtering with
-    a cache built for different inputs.
+    built once and reused. They depend on sigma_alpha, sigma_beta and
+    sigma_gamma but not on the weights w1 and w2, so one instance serves
+    every weight setting; `require` guards against silently filtering with
+    a cache built for a different image, backend or kernel scale.
 
     The lattice path does not emit raw lattice output: the raw kernel has a
     point-dependent gain (and a badly shrunk self-coefficient), so each
@@ -230,8 +220,14 @@ class PairwiseFilters:
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+        n = image.height * image.width
+        if backend == "exact" and n > EXACT_MASS_MAX_PIXELS:
+            raise ValueError(
+                f"--backend exact is capped at {EXACT_MASS_MAX_PIXELS} pixels "
+                f"(got {image.height}x{image.width}); use --backend lattice"
+            )
         self.backend = backend
-        self.params = params
+        self._sigmas = _kernel_scales(params)
         self.shape = (image.height, image.width)
         self._pixels = image.data
         start = time.perf_counter()
@@ -240,12 +236,11 @@ class PairwiseFilters:
         self._gain_bilateral = None
         self._gain_spatial = None
         if backend == "lattice":
-            n = bilateral.n
             ones = np.ones(n, dtype=np.float32)
-            self._bilateral = lattice_build(bilateral)
-            self._spatial = lattice_build(spatial)
-            lattice_mass_b = lattice_filter(self._bilateral, ones).astype(np.float64)
-            lattice_mass_s = lattice_filter(self._spatial, ones).astype(np.float64)
+            self._bilateral = PermutohedralLattice(bilateral)
+            self._spatial = PermutohedralLattice(spatial)
+            lattice_mass_b = self._bilateral.filter(ones).astype(np.float64)
+            lattice_mass_s = self._spatial.filter(ones).astype(np.float64)
             true_mass_s = _spatial_row_masses(
                 image.height, image.width, params.sigma_gamma
             )
@@ -267,7 +262,7 @@ class PairwiseFilters:
             timer["build"] = timer.get("build", 0.0) + time.perf_counter() - start
 
     def matches(self, image: RgbImage, params: PairwiseParams, backend: str) -> bool:
-        if backend != self.backend or params != self.params:
+        if backend != self.backend or _kernel_scales(params) != self._sigmas:
             return False
         if (image.height, image.width) != self.shape:
             return False
@@ -277,12 +272,12 @@ class PairwiseFilters:
         if not self.matches(image, params, backend):
             raise FilterCacheError(
                 "cached pairwise filters were built for a different "
-                "image, parameter set, or backend"
+                "image, kernel scale, or backend"
             )
 
     def _apply(self, structure, gain, values: np.ndarray, timer: dict | None) -> np.ndarray:
         if self.backend == "lattice":
-            out = lattice_filter(structure, values, timer=timer)
+            out = structure.filter(values, timer=timer)
             out *= gain if out.ndim == 2 else gain[:, 0]
             return out
         return gaussian_filter_exact(values, structure)
@@ -394,11 +389,13 @@ def run_inference(
     backend: str = "exact",
     threads: int = 1,
     timer: dict | None = None,
+    filters: PairwiseFilters | None = None,
 ) -> tuple[MeanFieldState, LabelMap]:
     """Run `iters` belief updates from the classifier posterior.
 
     iters=0 returns the posterior itself, so the label map degenerates to
-    the unary argmax.
+    the unary argmax. `filters`, when given, must have been built for this
+    image, backend and kernel scales; otherwise they are built here.
     """
     if params is None:
         params = PairwiseParams()
@@ -409,7 +406,8 @@ def run_inference(
     state = init_state(unary)
     _check_dims(state, unary, image)
     if iters > 0:
-        filters = PairwiseFilters(image, params, backend, timer=timer)
+        if filters is None:
+            filters = PairwiseFilters(image, params, backend, timer=timer)
         for _ in range(iters):
             state = mean_field_step(
                 state, unary, image, params, backend,
@@ -516,6 +514,10 @@ def grid_search(
     scores strictly better.  Ties resolve to the lexicographically
     smallest (w1, sigma_alpha, sigma_beta), which the ascending scan
     order plus strictly-better updates give for free.
+
+    The pairwise filters depend on the kernel scales but not on w1, so each
+    stage builds them once per case and (sigma_alpha, sigma_beta) pair and
+    runs every w1 of that pair through them.
     """
     cases = list(cases)
     if not cases:
@@ -524,23 +526,36 @@ def grid_search(
         ranges = SearchRanges()
     cache: dict[tuple, float] = {}
 
-    def score(point: tuple) -> float:
-        if point not in cache:
-            params = PairwiseParams(
-                w1=point[0], sigma_alpha=point[1], sigma_beta=point[2]
-            )
-            total = 0.0
+    def score_unscored(points) -> None:
+        totals = {point: 0.0 for point in points if point not in cache}
+        by_sigmas: dict[tuple, list[float]] = {}
+        for w1, sigma_alpha, sigma_beta in totals:
+            by_sigmas.setdefault((sigma_alpha, sigma_beta), []).append(w1)
+        for (sigma_alpha, sigma_beta), weights in by_sigmas.items():
+            scales = PairwiseParams(sigma_alpha=sigma_alpha, sigma_beta=sigma_beta)
+            # Cases in manifest order, so each point's total sums as before;
+            # one case's filters are dropped before the next case's are built.
             for unary, image, gt in cases:
-                _, pred = run_inference(
-                    unary, image, params, iters=iters, backend=backend, threads=threads
-                )
-                total += mean_iou(confusion(pred, gt, unary.labels))
+                filters = PairwiseFilters(image, scales, backend) if iters > 0 else None
+                for w1 in weights:
+                    params = PairwiseParams(
+                        w1=w1, sigma_alpha=sigma_alpha, sigma_beta=sigma_beta
+                    )
+                    _, pred = run_inference(
+                        unary, image, params, iters=iters, backend=backend,
+                        threads=threads, filters=filters,
+                    )
+                    totals[(w1, sigma_alpha, sigma_beta)] += mean_iou(
+                        confusion(pred, gt, unary.labels)
+                    )
+                del filters
+        for point, total in totals.items():
             cache[point] = total / len(cases)
-        return cache[point]
 
     def scan(stage: str, points, best_point=None, best_score=-np.inf) -> tuple:
+        score_unscored(points)
         for point in points:
-            value = score(point)
+            value = cache[point]
             if report is not None:
                 report.append(
                     GridPoint(
@@ -571,5 +586,5 @@ def grid_search(
             if a >= 0 and b > 0 and c > 0
         }
     )
-    final = scan("refine", refined, best_point=winner, best_score=score(winner))
+    final = scan("refine", refined, best_point=winner, best_score=cache[winner])
     return PairwiseParams(w1=final[0], sigma_alpha=final[1], sigma_beta=final[2])

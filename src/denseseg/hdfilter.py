@@ -59,6 +59,11 @@ def _as_value_matrix(values, n: int) -> tuple[np.ndarray, bool]:
     return v, squeezed
 
 
+# log of the smallest normal float64: kernel entries exp(-d2 / 2) below it
+# are not evaluated.
+_LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
+
+
 def gaussian_filter_exact(values, feats: FeaturePoints, block_size: int = 2048) -> np.ndarray:
     """All-pairs unit-variance Gaussian filtering, float64, self term included."""
     v, squeezed = _as_value_matrix(values, feats.n)
@@ -72,7 +77,13 @@ def gaussian_filter_exact(values, feats: FeaturePoints, block_size: int = 2048) 
         # ||a-b||^2 via the inner-product identity; clamp the tiny negatives
         d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (block @ f.T)
         np.maximum(d2, 0.0, out=d2)
-        out[start:stop] = np.exp(-0.5 * d2) @ v
+        d2 *= -0.5  # now the log of each kernel entry
+        # exp is many times slower where its result is subnormal. Entries
+        # below tiny are left at 0 unevaluated, which moves an output row by
+        # at most n * tiny * max|v|.
+        kernel = np.zeros_like(d2)
+        np.exp(d2, out=kernel, where=d2 >= _LOG_TINY)
+        out[start:stop] = kernel @ v
     return out[:, 0] if squeezed else out
 
 
@@ -244,16 +255,6 @@ class PermutohedralLattice:
         out *= np.float32(self.alpha)
         _tick(timer, "slice", t0)
         return out[:, 0] if squeezed else out
-
-
-def lattice_build(feats: FeaturePoints) -> PermutohedralLattice:
-    return PermutohedralLattice(feats)
-
-
-def lattice_filter(
-    lattice: PermutohedralLattice, values, timer: dict | None = None
-) -> np.ndarray:
-    return lattice.filter(values, timer=timer)
 
 
 def lattice_filter_normalized(lattice: PermutohedralLattice, values) -> np.ndarray:

@@ -25,8 +25,8 @@ from denseseg.densecrf import (
 )
 from denseseg.hdfilter import (
     FeaturePoints,
+    PermutohedralLattice,
     gaussian_filter_exact,
-    lattice_build,
     lattice_filter_normalized,
 )
 from denseseg.metrics import confusion, mean_iou, trimap_mask, trimap_miou
@@ -153,7 +153,7 @@ def test_criterion_04_lattice_matches_exact_filter():
                 axis=-1,
             ).reshape(n, 5)
         feats = FeaturePoints(pts)
-        lat = lattice_build(feats)
+        lat = PermutohedralLattice(feats)
         approx = lattice_filter_normalized(lat, values).astype(np.float64)
         exact = gaussian_filter_exact(values, feats)
         exact /= gaussian_filter_exact(np.ones(n), feats)[:, None]

@@ -109,6 +109,22 @@ class TestRefine:
         assert rc == EXIT_VALIDATION
         assert "--factor" in capsys.readouterr().err
 
+    def test_exact_backend_capped_at_4096_pixels(self, tmp_path, capsys):
+        """65x64 exceeds the exact backend's cap and exits 2 naming the
+        lattice backend; 64x64 still runs, and the default is lattice."""
+        for height, expected in ((65, EXIT_VALIDATION), (64, EXIT_OK)):
+            scene = SCENE.replace("height = 32", f"height = {height}").replace(
+                "width = 32", "width = 64")
+            paths = synth_files(tmp_path / str(height), scene=scene)
+            argv = ["refine", "--unary", paths["unary"], "--image", paths["image"],
+                    "--out", tmp_path / "x.pgm", "--factor", 1, "--iters", 1]
+            capsys.readouterr()
+            assert run_cli(*argv, "--backend", "exact") == expected
+            err = capsys.readouterr().err
+            assert ("--backend lattice" in err) == (expected == EXIT_VALIDATION)
+            assert "Traceback" not in err
+            assert run_cli(*argv) == EXIT_OK
+
     def test_missing_input_exits_3(self, tmp_path):
         paths = synth_files(tmp_path)
         rc = run_cli("refine", "--unary", tmp_path / "nope.dlt",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from denseseg import densecrf
 from denseseg.core import LabelMap, RgbImage, ShapeError
 from denseseg.densecrf import (
     FilterCacheError,
@@ -13,9 +14,9 @@ from denseseg.densecrf import (
     MeanFieldState,
     PairwiseFilters,
     PairwiseParams,
-    PottsCompat,
     SearchRanges,
     UnaryField,
+    _refine_axis,
     energy,
     grid_search,
     init_state,
@@ -135,16 +136,6 @@ class TestMeanFieldState:
             MeanFieldState(q)
 
 
-class TestPottsCompat:
-    def test_penalty_values(self):
-        assert PottsCompat.penalty(3, 3) == 0.0
-        assert PottsCompat.penalty(0, 1) == 1.0
-
-    def test_matrix_is_complement_of_identity(self):
-        m = PottsCompat.matrix(4)
-        assert np.array_equal(m, 1.0 - np.eye(4))
-
-
 class TestPosterior:
     def test_one_hot_costs(self):
         p = np.zeros((1, 1, 2))
@@ -208,11 +199,45 @@ class TestFilterCache:
             filters.require(random_image(rng, 4, 4), PairwiseParams(), "exact")
 
     def test_different_params_rejected(self):
+        # the structures are built from the three kernel scales, so a change
+        # in any of them is rejected
         rng = np.random.default_rng(2)
         image = random_image(rng, 4, 4)
         filters = PairwiseFilters(image, PairwiseParams(), "exact")
+        for scale in ("sigma_alpha", "sigma_beta", "sigma_gamma"):
+            with pytest.raises(FilterCacheError):
+                filters.require(image, PairwiseParams(**{scale: 1.0}), "exact")
+
+    @pytest.mark.parametrize("backend", ["exact", "lattice"])
+    def test_weight_change_reuses_cache(self, backend):
+        """w1 and w2 only scale the filtered messages, so filters built for
+        one weight setting give the same inference as fresh ones."""
+        rng = np.random.default_rng(5)
+        image = random_image(rng, 6, 7)
+        unary = unary_from_probs(random_posterior(rng, 6, 7, 3))
+        filters = PairwiseFilters(image, PairwiseParams(w1=1.0, w2=0.5), backend)
+        params = PairwiseParams(w1=5.0, w2=2.0)
+        filters.require(image, params, backend)
+        cached, _ = run_inference(unary, image, params, iters=3, backend=backend,
+                                  filters=filters)
+        fresh, _ = run_inference(unary, image, params, iters=3, backend=backend)
+        assert np.array_equal(cached.q, fresh.q)
+
+    def test_inference_rejects_mismatched_filters(self):
+        rng = np.random.default_rng(6)
+        image = random_image(rng, 4, 4)
+        unary = unary_from_probs(random_posterior(rng, 4, 4, 2))
+        filters = PairwiseFilters(image, PairwiseParams(sigma_beta=2.0), "exact")
         with pytest.raises(FilterCacheError):
-            filters.require(image, PairwiseParams(w1=1.0), "exact")
+            run_inference(unary, image, PairwiseParams(), iters=1, backend="exact",
+                          filters=filters)
+
+    def test_exact_backend_capped_at_4096_pixels(self):
+        rng = np.random.default_rng(7)
+        PairwiseFilters(random_image(rng, 64, 64), PairwiseParams(), "exact")
+        with pytest.raises(ValueError, match="--backend lattice"):
+            PairwiseFilters(random_image(rng, 65, 64), PairwiseParams(), "exact")
+        PairwiseFilters(random_image(rng, 65, 64), PairwiseParams(), "lattice")
 
     def test_different_backend_rejected(self):
         rng = np.random.default_rng(3)
@@ -496,7 +521,7 @@ class TestEnergy:
             energy(labels, unary, image, PairwiseParams())
 
 
-def split_case(flip_seed):
+def split_case(flip_seed, noise=1.2):
     """Two-color vertical split with a noisy posterior, for search tests."""
     rng = np.random.default_rng(flip_seed)
     gt = np.zeros((16, 16), np.uint8)
@@ -504,13 +529,105 @@ def split_case(flip_seed):
     img = np.zeros((16, 16, 3), np.uint8)
     img[:, :8] = [200, 50, 50]
     img[:, 8:] = [50, 50, 200]
-    z = np.eye(2)[gt] + rng.normal(0.0, 1.2, (16, 16, 2))
+    z = np.eye(2)[gt] + rng.normal(0.0, noise, (16, 16, 2))
     e = np.exp(z - z.max(axis=2, keepdims=True))
     unary = unary_from_probs(e / e.sum(axis=2, keepdims=True))
     return unary, RgbImage(img), LabelMap(gt)
 
 
+def cropped_case(flip_seed, noise=1.2):
+    """A split case cropped to 16x12, so cases differ in size."""
+    unary, image, gt = split_case(flip_seed, noise)
+    return (UnaryField(unary.theta[:, 2:14]), RgbImage(image.data[:, 2:14]),
+            LabelMap(gt.labels[:, 2:14]))
+
+
+def grid_search_per_point(cases, ranges, iters, backend, threads, report):
+    """The search with a fresh run_inference, and so fresh filters, for
+    every (point, case) pair: the reference the shared-filter search must
+    reproduce bit for bit."""
+    cache = {}
+
+    def score(point):
+        if point not in cache:
+            params = PairwiseParams(w1=point[0], sigma_alpha=point[1], sigma_beta=point[2])
+            total = 0.0
+            for unary, image, gt in cases:
+                _, pred = run_inference(unary, image, params, iters=iters,
+                                        backend=backend, threads=threads)
+                total += mean_iou(confusion(pred, gt, unary.labels))
+            cache[point] = total / len(cases)
+        return cache[point]
+
+    def scan(stage, points, best_point=None, best_score=-np.inf):
+        for point in points:
+            value = score(point)
+            params = PairwiseParams(w1=point[0], sigma_alpha=point[1], sigma_beta=point[2])
+            report.append(GridPoint(stage, params, value))
+            if value > best_score:
+                best_point, best_score = point, value
+        return best_point
+
+    coarse = [(a, b, c) for a in ranges.w1 for b in ranges.sigma_alpha
+              for c in ranges.sigma_beta]
+    winner = scan("coarse", coarse)
+    refined = sorted(
+        {
+            (a, b, c)
+            for a in _refine_axis(ranges.w1, winner[0])
+            for b in _refine_axis(ranges.sigma_alpha, winner[1])
+            for c in _refine_axis(ranges.sigma_beta, winner[2])
+            if a >= 0 and b > 0 and c > 0
+        }
+    )
+    final = scan("refine", refined, best_point=winner, best_score=score(winner))
+    return PairwiseParams(w1=final[0], sigma_alpha=final[1], sigma_beta=final[2])
+
+
+# Weak, short-range kernels on very noisy cases, so that scores differ
+# from point to point and the order of the per-case sums shows.
+SHARED_RANGES = SearchRanges(w1=(0.25, 0.5), sigma_alpha=(2.0, 4.0),
+                             sigma_beta=(3.0, 4.0))
+
+
 class TestGridSearch:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("backend", ["exact", "lattice"])
+    def test_shared_filters_match_per_point_search(self, backend, threads):
+        cases = [split_case(1, 3.0), cropped_case(2, 3.0), split_case(4, 3.0)]
+        want_report, got_report = [], []
+        want = grid_search_per_point(cases, SHARED_RANGES, 2, backend, threads, want_report)
+        got = grid_search(cases, ranges=SHARED_RANGES, iters=2, backend=backend,
+                          threads=threads, report=got_report)
+        assert got == want
+        assert got_report == want_report
+        assert {p.stage for p in got_report} == {"coarse", "refine"}
+        assert len({p.score for p in got_report}) > 10
+
+    def test_filters_built_once_per_case_and_sigma_pair(self, monkeypatch):
+        built = []
+
+        class CountingFilters(PairwiseFilters):
+            def __init__(self, image, params, *args, **kwargs):
+                built.append((params.sigma_alpha, params.sigma_beta))
+                super().__init__(image, params, *args, **kwargs)
+
+        monkeypatch.setattr(densecrf, "PairwiseFilters", CountingFilters)
+        cases = [split_case(1), cropped_case(2)]
+        report = []
+        grid_search(cases, ranges=SHARED_RANGES, iters=2, backend="lattice",
+                    report=report)
+        points = {
+            stage: {(p.params.w1, p.params.sigma_alpha, p.params.sigma_beta)
+                    for p in report if p.stage == stage}
+            for stage in ("coarse", "refine")
+        }
+        unscored = {"coarse": points["coarse"],
+                    "refine": points["refine"] - points["coarse"]}
+        sigma_pairs = sum(len({p[1:] for p in pts}) for pts in unscored.values())
+        assert len(built) == sigma_pairs * len(cases)
+        assert len(built) < sum(len(pts) for pts in unscored.values()) * len(cases)
+
     def test_empty_cases_rejected(self):
         with pytest.raises(ValueError):
             grid_search([])

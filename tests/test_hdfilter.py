@@ -12,8 +12,6 @@ from denseseg.hdfilter import (
     FeaturePoints,
     PermutohedralLattice,
     gaussian_filter_exact,
-    lattice_build,
-    lattice_filter,
     lattice_filter_normalized,
 )
 from oracles import gaussian_filter_bruteforce, relative_l2
@@ -100,17 +98,36 @@ class TestExactFilter:
         b = gaussian_filter_exact(v, f, block_size=4096)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
+    def test_subnormal_kernel_entries_dropped(self):
+        """Squared distances straddle 2 ln(1/tiny), where exp turns subnormal.
+        Dropping those entries leaves the all-ones mass bit-identical to the
+        unflushed formula and moves other outputs by at most n tiny max|v|."""
+        tiny = np.finfo(np.float64).tiny
+        rng = np.random.default_rng(84)
+        f = rng.uniform(0.0, 60.0, size=(400, 2))
+        sq = np.einsum("ij,ij->i", f, f)
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (f @ f.T), 0.0)
+        kernel = np.exp(-0.5 * d2)
+        assert ((kernel > 0.0) & (kernel < tiny)).sum() > 100
+        assert (d2 < -2.0 * math.log(tiny)).mean() > 0.5
+
+        ones = np.ones((400, 1))
+        assert np.array_equal(gaussian_filter_exact(ones, FeaturePoints(f)), kernel @ ones)
+        v = rng.normal(size=(400, 3))
+        diff = np.abs(gaussian_filter_exact(v, FeaturePoints(f)) - kernel @ v).max()
+        assert diff <= 400 * tiny * np.abs(v).max()
+
 
 class TestLatticeStructure:
     def test_single_point_creates_one_simplex(self):
         for d in (2, 5):
-            lat = lattice_build(FeaturePoints(np.random.default_rng(d).normal(size=(1, d))))
+            lat = PermutohedralLattice(FeaturePoints(np.random.default_rng(d).normal(size=(1, d))))
             assert lat.num_vertices == d + 1
             assert lat.offsets.shape == (1, d + 1)
 
     def test_identical_points_share_vertices(self):
         pts = np.tile([[0.3, -1.2, 0.7]], (25, 1))
-        lat = lattice_build(FeaturePoints(pts))
+        lat = PermutohedralLattice(FeaturePoints(pts))
         assert lat.num_vertices == 4
         assert (lat.offsets == lat.offsets[0]).all()
         assert np.allclose(lat.barycentric, lat.barycentric[0])
@@ -118,7 +135,7 @@ class TestLatticeStructure:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_barycentric_weights_valid(self, d):
         rng = np.random.default_rng(90 + d)
-        lat = lattice_build(cluster(rng, 300, d, spread=3.0))
+        lat = PermutohedralLattice(cluster(rng, 300, d, spread=3.0))
         b = lat.barycentric
         assert b.min() >= -1e-12
         assert b.max() <= 1.0 + 1e-12
@@ -126,14 +143,14 @@ class TestLatticeStructure:
 
     def test_every_referenced_vertex_exists(self):
         rng = np.random.default_rng(94)
-        lat = lattice_build(cluster(rng, 100, 2, spread=2.0))
+        lat = PermutohedralLattice(cluster(rng, 100, 2, spread=2.0))
         assert lat.offsets.min() >= 1
         assert lat.offsets.max() <= lat.num_vertices
 
     def test_blur_links_have_reverse_links(self):
         """If u is v's lower neighbor along axis j, v is u's upper neighbor."""
         rng = np.random.default_rng(95)
-        lat = lattice_build(cluster(rng, 100, 2, spread=2.0))
+        lat = PermutohedralLattice(cluster(rng, 100, 2, spread=2.0))
         for j in range(lat.dim + 1):
             for v in range(1, lat.num_vertices + 1):
                 u = int(lat.blur_n1[j, v])
@@ -145,13 +162,13 @@ class TestLatticeStructure:
 
     def test_vertex_keys_unique(self):
         rng = np.random.default_rng(96)
-        lat = lattice_build(cluster(rng, 200, 3, spread=2.0))
+        lat = PermutohedralLattice(cluster(rng, 200, 3, spread=2.0))
         assert len(np.unique(lat.vertex_keys, axis=0)) == lat.num_vertices
 
     def test_wide_coordinate_fallback_keeps_invariants(self):
         """Huge feature magnitudes overflow packed keys; dict path must hold."""
         rng = np.random.default_rng(97)
-        lat = lattice_build(FeaturePoints(rng.normal(scale=3e8, size=(40, 5))))
+        lat = PermutohedralLattice(FeaturePoints(rng.normal(scale=3e8, size=(40, 5))))
         b = lat.barycentric
         assert b.min() >= -1e-12 and np.abs(b.sum(axis=1) - 1).max() <= 1e-6
         for j in range(lat.dim + 1):
@@ -163,8 +180,8 @@ class TestLatticeStructure:
     def test_build_is_deterministic(self):
         rng = np.random.default_rng(98)
         pts = rng.normal(size=(150, 5))
-        a = lattice_build(FeaturePoints(pts))
-        b = lattice_build(FeaturePoints(pts))
+        a = PermutohedralLattice(FeaturePoints(pts))
+        b = PermutohedralLattice(FeaturePoints(pts))
         assert np.array_equal(a.vertex_keys, b.vertex_keys)
         assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.barycentric, b.barycentric)
@@ -174,7 +191,7 @@ class TestLatticeFilter:
     def test_constant_is_fixed_point_after_normalization(self):
         rng = np.random.default_rng(100)
         for d, c in ((2, 1.0), (5, 2.5)):
-            lat = lattice_build(cluster(rng, 400, d, spread=1.5))
+            lat = PermutohedralLattice(cluster(rng, 400, d, spread=1.5))
             out = lattice_filter_normalized(lat, np.full((400, 2), c, dtype=np.float64))
             assert np.abs(out - c).max() < 1e-4
 
@@ -184,7 +201,7 @@ class TestLatticeFilter:
         rng = np.random.default_rng(101)
         feats = cluster(rng, 200, 5, spread=0.4)
         v = rng.random(size=(200, 3))
-        approx = lattice_filter(lattice_build(feats), v).astype(np.float64)
+        approx = PermutohedralLattice(feats).filter(v).astype(np.float64)
         exact = gaussian_filter_exact(v, feats)
         scale = float((exact * approx).sum() / (approx * approx).sum())
         assert relative_l2(scale * approx, exact) <= 0.05
@@ -194,7 +211,7 @@ class TestLatticeFilter:
         for d in (2, 5):
             feats = cluster(rng, 500, d, spread=0.8)
             v = rng.random(size=(500, 2))
-            approx = lattice_filter_normalized(lattice_build(feats), v).astype(np.float64)
+            approx = lattice_filter_normalized(PermutohedralLattice(feats), v).astype(np.float64)
             exact = gaussian_filter_exact(v, feats)
             exact /= gaussian_filter_exact(np.ones(500), feats)[:, None]
             assert relative_l2(approx, exact) <= 0.05
@@ -207,7 +224,7 @@ class TestLatticeFilter:
         feats = FeaturePoints(np.vstack([a, b]))
         indicator = np.zeros((120, 1))
         indicator[:60] = 1.0
-        out = lattice_filter(lattice_build(feats), indicator)
+        out = PermutohedralLattice(feats).filter(indicator)
         within = float(np.abs(out[:60]).mean())
         across = float(np.abs(out[60:]).max())
         assert across <= 1e-3 * within
@@ -215,34 +232,34 @@ class TestLatticeFilter:
     def test_filter_linear_and_deterministic(self):
         rng = np.random.default_rng(104)
         feats = cluster(rng, 120, 3, spread=1.0)
-        lat = lattice_build(feats)
+        lat = PermutohedralLattice(feats)
         u = rng.normal(size=(120, 2)).astype(np.float32)
         w = rng.normal(size=(120, 2)).astype(np.float32)
-        both = lattice_filter(lat, np.hstack([u, w]))
-        assert np.array_equal(both, lattice_filter(lat, np.hstack([u, w])))
-        sep = np.hstack([lattice_filter(lat, u), lattice_filter(lat, w)])
+        both = lat.filter(np.hstack([u, w]))
+        assert np.array_equal(both, lat.filter(np.hstack([u, w])))
+        sep = np.hstack([lat.filter(u), lat.filter(w)])
         assert np.allclose(both, sep, rtol=1e-5, atol=1e-5)
 
     def test_single_point_normalized_identity(self):
-        lat = lattice_build(FeaturePoints(np.array([[0.7, -0.2, 1.1, 0.0, 3.0]])))
+        lat = PermutohedralLattice(FeaturePoints(np.array([[0.7, -0.2, 1.1, 0.0, 3.0]])))
         out = lattice_filter_normalized(lat, np.array([[4.0, -2.0]]))
         assert np.allclose(out, [[4.0, -2.0]], atol=1e-5)
 
     def test_one_dimensional_values_round_trip_shape(self):
         rng = np.random.default_rng(105)
         feats = cluster(rng, 30, 2)
-        out = lattice_filter(lattice_build(feats), np.ones(30))
+        out = PermutohedralLattice(feats).filter(np.ones(30))
         assert out.shape == (30,)
 
     def test_row_count_mismatch(self):
-        lat = lattice_build(FeaturePoints(np.zeros((3, 2))))
+        lat = PermutohedralLattice(FeaturePoints(np.zeros((3, 2))))
         with pytest.raises(ShapeError):
-            lattice_filter(lat, np.zeros((4, 1)))
+            lat.filter(np.zeros((4, 1)))
 
     def test_timer_accumulates_stages(self):
         rng = np.random.default_rng(106)
-        lat = lattice_build(cluster(rng, 50, 2))
+        lat = PermutohedralLattice(cluster(rng, 50, 2))
         timer: dict[str, float] = {}
-        lattice_filter(lat, np.ones((50, 1)), timer=timer)
+        lat.filter(np.ones((50, 1)), timer=timer)
         assert set(timer) == {"splat", "blur", "slice"}
         assert all(v >= 0.0 for v in timer.values())

@@ -184,7 +184,10 @@ def _parse_pnm_header(blob: bytes, magic: bytes, path: str) -> tuple[int, int, i
             pos += 1
         if start == pos:
             raise FormatError(f"{path}: malformed header, expected digits at byte {start}")
-        fields.append(int(blob[start:pos]))
+        digits = blob[start:pos].lstrip(b"0")  # int() refuses very long digit strings
+        if len(digits) > 9:
+            raise FormatError(f"{path}: header number at byte {start} is too large")
+        fields.append(int(digits or b"0"))
     if pos >= len(blob) or blob[pos : pos + 1] not in _WHITESPACE:
         raise FormatError(f"{path}: missing whitespace after maxval")
     pos += 1

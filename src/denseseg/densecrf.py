@@ -15,6 +15,7 @@ one that scales to real images.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -157,13 +158,9 @@ def bilateral_features(
 
     Rows follow row-major pixel order; d = 5.
     """
-    h, w = image.height, image.width
-    rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
-    feats = np.empty((h * w, 5))
-    feats[:, 0] = cols.ravel() / sigma_alpha
-    feats[:, 1] = rows.ravel() / sigma_alpha
-    feats[:, 2:] = image.data.reshape(-1, 3).astype(np.float64) / sigma_beta
-    return FeaturePoints(feats)
+    position = spatial_features(image.height, image.width, sigma_alpha).coords
+    color = image.data.reshape(-1, 3).astype(np.float64) / sigma_beta
+    return FeaturePoints(np.concatenate([position, color], axis=1))
 
 
 def spatial_features(height: int, width: int, sigma_gamma: float) -> FeaturePoints:
@@ -193,6 +190,30 @@ def _spatial_row_masses(height: int, width: int, sigma_gamma: float) -> np.ndarr
     return np.outer(axis_mass(height), axis_mass(width)).reshape(-1)
 
 
+class _KernelFilter:
+    """One unit Gaussian kernel over fixed feature points, on one backend.
+
+    On the lattice, a given exact row mass turns into a per-point gain
+    true_mass / lattice_mass on every output.
+    """
+
+    def __init__(self, feats: FeaturePoints, backend: str, true_mass=None) -> None:
+        self.backend, self.gain = backend, None
+        self.structure = feats if backend == "exact" else PermutohedralLattice(feats)
+        if backend == "lattice" and true_mass is not None:
+            mass = self.structure.filter(np.ones(feats.n, np.float32)).astype(np.float64)
+            tiny = np.finfo(np.float32).tiny
+            self.gain = (true_mass / np.maximum(mass, tiny)).astype(np.float32)[:, None]
+
+    def __call__(self, values: np.ndarray, timer: dict | None = None) -> np.ndarray:
+        if self.backend == "exact":
+            return gaussian_filter_exact(values, self.structure)
+        out = self.structure.filter(values, timer=timer)
+        if self.gain is not None:
+            out *= self.gain if out.ndim == 2 else self.gain[:, 0]
+        return out
+
+
 class PairwiseFilters:
     """Kernel filtering structures for one image, backend and kernel scales.
 
@@ -200,7 +221,9 @@ class PairwiseFilters:
     built once and reused. They depend on sigma_alpha, sigma_beta and
     sigma_gamma but not on the weights w1 and w2, so one instance serves
     every weight setting; `require` guards against silently filtering with
-    a cache built for a different image, backend or kernel scale.
+    a cache built for a different image, backend or kernel scale. The
+    spatial kernel depends only on the image size, sigma_gamma and backend;
+    a `spatial_cache` dict keyed by those shares it between instances.
 
     The lattice path does not emit raw lattice output: the raw kernel has a
     point-dependent gain (and a badly shrunk self-coefficient), so each
@@ -208,7 +231,7 @@ class PairwiseFilters:
     lattice mass comes from filtering an all-ones vector once at build; the
     true mass is exact for the spatial kernel at any size (separability)
     and exact for the bilateral kernel up to EXACT_MASS_MAX_PIXELS pixels,
-    beyond which the lattice's own estimate stands in.
+    beyond which the lattice's own estimate stands in, a gain of one.
     """
 
     def __init__(
@@ -217,112 +240,90 @@ class PairwiseFilters:
         params: PairwiseParams,
         backend: str = "exact",
         timer: dict | None = None,
+        spatial_cache: dict | None = None,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        n = image.height * image.width
+        h, w = image.height, image.width
+        n = h * w
         if backend == "exact" and n > EXACT_MASS_MAX_PIXELS:
             raise ValueError(
                 f"--backend exact is capped at {EXACT_MASS_MAX_PIXELS} pixels "
-                f"(got {image.height}x{image.width}); use --backend lattice"
+                f"(got {h}x{w}); use --backend lattice"
             )
         self.backend = backend
         self._sigmas = _kernel_scales(params)
-        self.shape = (image.height, image.width)
+        self.shape = (h, w)
         self._pixels = image.data
         start = time.perf_counter()
         bilateral = bilateral_features(image, params.sigma_alpha, params.sigma_beta)
-        spatial = spatial_features(image.height, image.width, params.sigma_gamma)
-        self._gain_bilateral = None
-        self._gain_spatial = None
-        if backend == "lattice":
-            ones = np.ones(n, dtype=np.float32)
-            self._bilateral = PermutohedralLattice(bilateral)
-            self._spatial = PermutohedralLattice(spatial)
-            lattice_mass_b = self._bilateral.filter(ones).astype(np.float64)
-            lattice_mass_s = self._spatial.filter(ones).astype(np.float64)
-            true_mass_s = _spatial_row_masses(
-                image.height, image.width, params.sigma_gamma
+        small = backend == "lattice" and n <= EXACT_MASS_MAX_PIXELS
+        self.filter_bilateral = _KernelFilter(
+            bilateral, backend, gaussian_filter_exact(np.ones(n), bilateral) if small else None
+        )
+        cache = {} if spatial_cache is None else spatial_cache
+        key = (h, w, params.sigma_gamma, backend)
+        if key not in cache:
+            cache[key] = _KernelFilter(
+                spatial_features(h, w, params.sigma_gamma), backend,
+                _spatial_row_masses(h, w, params.sigma_gamma),
             )
-            if n <= EXACT_MASS_MAX_PIXELS:
-                true_mass_b = gaussian_filter_exact(np.ones(n), bilateral)
-            else:
-                true_mass_b = lattice_mass_b
-            tiny = np.finfo(np.float32).tiny
-            self._gain_bilateral = (
-                true_mass_b / np.maximum(lattice_mass_b, tiny)
-            ).astype(np.float32)[:, None]
-            self._gain_spatial = (
-                true_mass_s / np.maximum(lattice_mass_s, tiny)
-            ).astype(np.float32)[:, None]
-        else:
-            self._bilateral = bilateral
-            self._spatial = spatial
+        self.filter_spatial = cache[key]
         if timer is not None:
             timer["build"] = timer.get("build", 0.0) + time.perf_counter() - start
 
-    def matches(self, image: RgbImage, params: PairwiseParams, backend: str) -> bool:
-        if backend != self.backend or _kernel_scales(params) != self._sigmas:
-            return False
-        if (image.height, image.width) != self.shape:
-            return False
-        return image.data is self._pixels or np.array_equal(image.data, self._pixels)
-
     def require(self, image: RgbImage, params: PairwiseParams, backend: str) -> None:
-        if not self.matches(image, params, backend):
+        built = (self.backend, self._sigmas, self.shape)
+        if built != (backend, _kernel_scales(params), (image.height, image.width)) or not (
+            image.data is self._pixels or np.array_equal(image.data, self._pixels)
+        ):
             raise FilterCacheError(
                 "cached pairwise filters were built for a different "
                 "image, kernel scale, or backend"
             )
 
-    def _apply(self, structure, gain, values: np.ndarray, timer: dict | None) -> np.ndarray:
-        if self.backend == "lattice":
-            out = structure.filter(values, timer=timer)
-            out *= gain if out.ndim == 2 else gain[:, 0]
-            return out
-        return gaussian_filter_exact(values, structure)
 
-    def filter_bilateral(self, values: np.ndarray, timer: dict | None = None) -> np.ndarray:
-        return self._apply(self._bilateral, self._gain_bilateral, values, timer)
-
-    def filter_spatial(self, values: np.ndarray, timer: dict | None = None) -> np.ndarray:
-        return self._apply(self._spatial, self._gain_spatial, values, timer)
+def _row_pool(threads: int):
+    """One worker pool for every update of a run or search; none for one thread."""
+    return ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext()
 
 
-def _check_dims(state: MeanFieldState, unary: UnaryField, image: RgbImage) -> None:
-    if state.q.shape != unary.theta.shape:
-        raise ShapeError(
-            f"belief shape {state.q.shape} does not match unary {unary.theta.shape}"
-        )
-    if (image.height, image.width) != (unary.height, unary.width):
-        raise ShapeError(
-            f"image {image.height}x{image.width} does not match "
-            f"unary {unary.height}x{unary.width}"
-        )
+def _update(q, theta, filters, params, pool, threads, timer) -> np.ndarray:
+    """One synchronous update of flat (n, labels) beliefs in their dtype.
 
-
-def _update_rows(out, theta, filt_b, filt_s, q, w1, w2, lo, hi) -> None:
-    """Belief update for pixel rows [lo, hi): penalty, negate, softmax.
-
-    Writes into a disjoint slice of the preallocated output, so concurrent
-    calls on non-overlapping ranges are safe and give results identical to
-    a single sequential pass.
+    Under Potts gating each label pays for the message mass of all other
+    labels: the total minus its own. The total is the same for every label
+    and cancels in the softmax, which leaves
+    softmax(w1 K_b q + w2 K_s q - (w1 + w2) q - theta); subtracting q drops
+    each kernel's unit self term. Rows are independent, so with a pool the
+    rows split into contiguous blocks and the result does not depend on the
+    thread count.
     """
-    mb = filt_b[lo:hi] - q[lo:hi]
-    ms = filt_s[lo:hi] - q[lo:hi]
-    z = out[lo:hi]
-    # Potts gating: each label pays for the message mass of all others,
-    # computed as (total - own) rather than an explicit label-pair loop.
-    z[:] = mb.sum(axis=1, keepdims=True)
-    z -= mb
-    z *= -w1
-    tmp = ms.sum(axis=1, keepdims=True) - ms
-    tmp *= w2
-    z -= tmp
-    z -= theta[lo:hi]
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z = filters.filter_bilateral(q, timer=timer)
+    zs = filters.filter_spatial(q, timer=timer)
+    start = time.perf_counter()
+    w1, w2 = params.w1, params.w2
+
+    def rows(lo: int, hi: int) -> None:
+        zb, zr = z[lo:hi], zs[lo:hi]
+        zb *= w1
+        zr *= w2
+        zb += zr
+        np.multiply(q[lo:hi], w1 + w2, out=zr)
+        zb -= zr
+        zb -= theta[lo:hi]
+        zb -= zb.max(axis=1, keepdims=True)
+        np.exp(zb, out=zb)
+        zb /= np.einsum("ij->i", zb)[:, None]
+
+    if pool is None:
+        rows(0, len(q))
+    else:
+        bounds = np.linspace(0, len(q), threads + 1, dtype=np.int64)
+        list(pool.map(rows, bounds[:-1], bounds[1:]))
+    if timer is not None:
+        timer["update"] = timer.get("update", 0.0) + time.perf_counter() - start
+    return z
 
 
 def mean_field_step(
@@ -335,43 +336,17 @@ def mean_field_step(
     threads: int = 1,
     timer: dict | None = None,
 ) -> MeanFieldState:
-    """One synchronous belief update; every pixel reads only the old state."""
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    _check_dims(state, unary, image)
-    if filters is None:
-        filters = PairwiseFilters(image, params, backend)
-    else:
-        filters.require(image, params, backend)
-    h, w, labels = state.q.shape
-    n = h * w
-    # The exact backend is the float64 correctness reference; the lattice
-    # path runs in float32, matching its filtering precision.
-    dtype = np.float64 if backend == "exact" else np.float32
-    q = np.ascontiguousarray(state.q.reshape(n, labels), dtype=dtype)
-    theta = unary.theta.reshape(n, labels).astype(dtype, copy=False)
-    filt_b = filters.filter_bilateral(q, timer=timer)
-    filt_s = filters.filter_spatial(q, timer=timer)
-    start = time.perf_counter()
-    out = np.empty((n, labels), dtype=dtype)
-    if threads > 1 and n >= threads:
-        bounds = np.linspace(0, n, threads + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            jobs = [
-                pool.submit(
-                    _update_rows, out, theta, filt_b, filt_s, q,
-                    params.w1, params.w2, int(lo), int(hi),
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for job in jobs:
-                job.result()
-    else:
-        _update_rows(out, theta, filt_b, filt_s, q, params.w1, params.w2, 0, n)
-    if timer is not None:
-        timer["update"] = timer.get("update", 0.0) + time.perf_counter() - start
-    return MeanFieldState(out.reshape(h, w, labels))
+    """One synchronous belief update; every pixel reads only the old state.
+
+    Runs run_inference's update, so iterating it from init_state reproduces
+    run_inference's beliefs.
+    """
+    if state.q.shape != unary.theta.shape:
+        raise ShapeError(
+            f"belief shape {state.q.shape} does not match unary {unary.theta.shape}"
+        )
+    with _row_pool(threads) as pool:
+        return _infer(unary, image, params, 1, backend, filters, pool, threads, timer, state.q)
 
 
 def labels_from_state(state: MeanFieldState) -> LabelMap:
@@ -397,31 +372,41 @@ def run_inference(
     the unary argmax. `filters`, when given, must have been built for this
     image, backend and kernel scales; otherwise they are built here.
     """
-    if params is None:
-        params = PairwiseParams()
+    with _row_pool(threads) as pool:
+        state = _infer(unary, image, params or PairwiseParams(), iters, backend,
+                       filters, pool, threads, timer)
+    return state, labels_from_state(state)
+
+
+def _infer(unary, image, params, iters, backend, filters, pool, threads, timer, q=None):
+    """`iters` updates from belief q, by default the classifier posterior.
+
+    The belief stays flat through the loop and becomes a MeanFieldState
+    once. The exact backend is the float64 correctness reference; the
+    lattice path runs in float32, matching its filtering precision.
+    """
     if iters < 0:
         raise ValueError(f"iteration count must be >= 0, got {iters}")
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    state = init_state(unary)
-    _check_dims(state, unary, image)
+    if (image.height, image.width) != (unary.height, unary.width):
+        raise ShapeError(
+            f"image {image.height}x{image.width} does not match "
+            f"unary {unary.height}x{unary.width}"
+        )
+    if q is None:
+        q = _softmax_rows(-unary.theta)
     if iters > 0:
         if filters is None:
             filters = PairwiseFilters(image, params, backend, timer=timer)
+        else:
+            filters.require(image, params, backend)
+        dtype = np.float64 if backend == "exact" else np.float32
+        q = q.reshape(-1, unary.labels).astype(dtype, copy=False)
+        theta = unary.theta.reshape(-1, unary.labels).astype(dtype, copy=False)
         for _ in range(iters):
-            state = mean_field_step(
-                state, unary, image, params, backend,
-                filters=filters, threads=threads, timer=timer,
-            )
-    return state, labels_from_state(state)
-
-
-def _kernel_matrix(feats: np.ndarray) -> np.ndarray:
-    """All-pairs unit Gaussian kernel in float64 via the norm expansion."""
-    sq = (feats * feats).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-0.5 * d2)
+            q = _update(q, theta, filters, params, pool, threads, timer)
+    return MeanFieldState(q.reshape(unary.theta.shape))
 
 
 def energy(
@@ -446,16 +431,18 @@ def energy(
     if lab.max() >= unary.labels:
         raise ValueError(f"labels must be < {unary.labels}")
     n = lab.size
-    theta_total = float(unary.theta.reshape(n, unary.labels)[np.arange(n), lab].sum())
-    kb = _kernel_matrix(
-        bilateral_features(image, params.sigma_alpha, params.sigma_beta).coords
-    )
-    ks = _kernel_matrix(
-        spatial_features(image.height, image.width, params.sigma_gamma).coords
-    )
-    disagree = (lab[:, None] != lab[None, :]) & np.tri(n, k=-1, dtype=bool).T
-    pair_total = float((params.w1 * kb + params.w2 * ks)[disagree].sum())
-    return theta_total + pair_total
+    rows = np.arange(n)
+    theta_total = float(unary.theta.reshape(n, unary.labels)[rows, lab].sum())
+    # With one-hot labels Y, (K Y)[i, l] is pixel i's kernel mass on label l;
+    # the mass on the other labels, summed over i, counts each disagreeing
+    # pair twice. The self term sits on the own label and drops out.
+    onehot = np.eye(unary.labels)[lab]
+    bilateral = bilateral_features(image, params.sigma_alpha, params.sigma_beta)
+    spatial = spatial_features(image.height, image.width, params.sigma_gamma)
+    mass = params.w1 * gaussian_filter_exact(onehot, bilateral)
+    mass += params.w2 * gaussian_filter_exact(onehot, spatial)
+    mass[rows, lab] = 0.0
+    return theta_total + 0.5 * float(mass.sum())
 
 
 COARSE_W1 = (3.0, 4.0, 5.0, 6.0)
@@ -517,7 +504,9 @@ def grid_search(
 
     The pairwise filters depend on the kernel scales but not on w1, so each
     stage builds them once per case and (sigma_alpha, sigma_beta) pair and
-    runs every w1 of that pair through them.
+    runs every w1 of that pair through them. The spatial kernel depends only
+    on the image size here, so it is built once per size for the whole search.
+    With threads > 1, one worker pool serves every update of the search.
     """
     cases = list(cases)
     if not cases:
@@ -525,8 +514,9 @@ def grid_search(
     if ranges is None:
         ranges = SearchRanges()
     cache: dict[tuple, float] = {}
+    spatial_cache: dict = {}
 
-    def score_unscored(points) -> None:
+    def score_unscored(points, pool) -> None:
         totals = {point: 0.0 for point in points if point not in cache}
         by_sigmas: dict[tuple, list[float]] = {}
         for w1, sigma_alpha, sigma_beta in totals:
@@ -536,24 +526,23 @@ def grid_search(
             # Cases in manifest order, so each point's total sums as before;
             # one case's filters are dropped before the next case's are built.
             for unary, image, gt in cases:
-                filters = PairwiseFilters(image, scales, backend) if iters > 0 else None
+                filters = (PairwiseFilters(image, scales, backend, spatial_cache=spatial_cache)
+                           if iters > 0 else None)
                 for w1 in weights:
                     params = PairwiseParams(
                         w1=w1, sigma_alpha=sigma_alpha, sigma_beta=sigma_beta
                     )
-                    _, pred = run_inference(
-                        unary, image, params, iters=iters, backend=backend,
-                        threads=threads, filters=filters,
-                    )
+                    state = _infer(unary, image, params, iters, backend,
+                                   filters, pool, threads, None)
                     totals[(w1, sigma_alpha, sigma_beta)] += mean_iou(
-                        confusion(pred, gt, unary.labels)
+                        confusion(labels_from_state(state), gt, unary.labels)
                     )
                 del filters
         for point, total in totals.items():
             cache[point] = total / len(cases)
 
-    def scan(stage: str, points, best_point=None, best_score=-np.inf) -> tuple:
-        score_unscored(points)
+    def scan(stage: str, points, pool, best_point=None, best_score=-np.inf) -> tuple:
+        score_unscored(points, pool)
         for point in points:
             value = cache[point]
             if report is not None:
@@ -576,15 +565,17 @@ def grid_search(
         for b in ranges.sigma_alpha
         for c in ranges.sigma_beta
     ]
-    winner = scan("coarse", coarse)
-    refined = sorted(
-        {
-            (a, b, c)
-            for a in _refine_axis(ranges.w1, winner[0])
-            for b in _refine_axis(ranges.sigma_alpha, winner[1])
-            for c in _refine_axis(ranges.sigma_beta, winner[2])
-            if a >= 0 and b > 0 and c > 0
-        }
-    )
-    final = scan("refine", refined, best_point=winner, best_score=cache[winner])
+    with _row_pool(threads) as pool:
+        winner = scan("coarse", coarse, pool)
+        refined = sorted(
+            {
+                (a, b, c)
+                for a in _refine_axis(ranges.w1, winner[0])
+                for b in _refine_axis(ranges.sigma_alpha, winner[1])
+                for c in _refine_axis(ranges.sigma_beta, winner[2])
+                if a >= 0 and b > 0 and c > 0
+            }
+        )
+        final = scan("refine", refined, pool, best_point=winner,
+                     best_score=cache[winner])
     return PairwiseParams(w1=final[0], sigma_alpha=final[1], sigma_beta=final[2])

@@ -133,14 +133,13 @@ class PermutohedralLattice:
         rem0 = np.where(up - elevated < elevated - down, up, down)
         coord_sums = np.rint(rem0.sum(axis=1) / dp1).astype(np.int64)
 
-        # rank[i] = how many coordinates exceed coordinate i (ties to the
-        # earlier index), then shifted back onto the canonical simplex range.
-        diff = elevated - rem0
-        beats = (diff[:, :, None] > diff[:, None, :]) | (
-            (diff[:, :, None] == diff[:, None, :])
-            & (np.arange(dp1)[None, :, None] < np.arange(dp1)[None, None, :])
-        )
-        rank = beats.sum(axis=1) + coord_sums[:, None]
+        # rank[i] = how many coordinates exceed coordinate i (ties to the earlier
+        # index): its place in a stable descending sort, then shifted back onto
+        # the canonical simplex range.
+        order = np.argsort(rem0 - elevated, axis=1, kind="stable")
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(dp1)[None, :], axis=1)
+        rank += coord_sums[:, None]
         low = rank < 0
         rank[low] += dp1
         rem0[low] += dp1
@@ -148,30 +147,25 @@ class PermutohedralLattice:
         rank[high] -= dp1
         rem0[high] -= dp1
 
-        # Barycentric weights from the sorted fractional remainders; rem0 may
-        # have moved in the wraparound fix above, so recompute the fractions.
-        bary = np.zeros((n, d + 2))
-        rows = np.arange(n)
+        # Barycentric weights from the fractional remainders in rank order
+        # (rem0 may have moved in the wraparound fix above): vertex k gets
+        # s[d - k] - s[d + 1 - k], and vertex 0 also the wrapped 1 - s[0].
         frac = (elevated - rem0) / dp1
-        for c in range(dp1):
-            bary[rows, d - rank[:, c]] += frac[:, c]
-            bary[rows, d + 1 - rank[:, c]] -= frac[:, c]
-        bary[:, 0] += 1.0 + bary[:, d + 1]
-        self.barycentric = bary[:, :dp1]
+        by_rank = np.empty_like(frac)
+        np.put_along_axis(by_rank, rank, frac, axis=1)
+        rev = by_rank[:, ::-1]
+        bary = np.empty_like(frac)
+        np.subtract(rev[:, 1:], rev[:, :-1], out=bary[:, 1:])
+        bary[:, 0] = by_rank[:, d] + (1.0 - by_rank[:, 0])
+        self.barycentric = bary
 
-        # Integer keys (first d coordinates) of each point's d+1 vertices.
+        # Vertex r of a point has key rem0 + r in each stored coordinate,
+        # less d+1 where rank + r > d; over r, coordinate j spans
+        # [rem0_j - rank_j, rem0_j - rank_j + d].
         rem0_int = np.rint(rem0[:, :d]).astype(np.int64)
-        keys = np.empty((n, dp1, d), dtype=np.int64)
-        for remainder in range(dp1):
-            canonical = np.where(
-                rank[:, :d] <= d - remainder, remainder, remainder - dp1
-            )
-            keys[:, remainder, :] = rem0_int + canonical
-
-        flat_keys = keys.reshape(-1, d)
-        self._key_min = flat_keys.min(axis=0)
-        shifted = flat_keys - self._key_min
-        self._key_range = shifted.max(axis=0)
+        lowest = rem0_int - rank[:, :d]
+        self._key_min = lowest.min(axis=0)
+        self._key_range = lowest.max(axis=0) + d - self._key_min
         # one spare bit per column keeps out-of-range neighbor queries from
         # carrying into the next column's field before the validity mask hits
         bits = np.array([int(r).bit_length() + 1 for r in self._key_range], dtype=np.int64)
@@ -179,21 +173,30 @@ class PermutohedralLattice:
         if self._packable:
             shifts = np.concatenate([np.cumsum(bits[::-1])[::-1][1:], [0]])
             self._key_shifts = shifts
-            packed = (shifted << shifts).sum(axis=1)
-            uniq, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+            # Vertex 0 is rem0 itself; vertex r adds one to every column and
+            # wraps the column of rank d + 1 - r (the implied last column
+            # has no field).
+            unit = np.append(1 << shifts, 0)
+            unit_by_rank = np.empty_like(rank)
+            np.put_along_axis(unit_by_rank, rank, unit[None, :], axis=1)
+            packed = np.empty((n, dp1), dtype=np.int64)
+            packed[:, 0] = (rem0_int - self._key_min) @ unit[:d]
+            for r in range(1, dp1):
+                packed[:, r] = packed[:, r - 1] + unit.sum() - dp1 * unit_by_rank[:, dp1 - r]
+            uniq, inverse = np.unique(packed.reshape(-1), return_inverse=True)
             self._packed_vertex_keys = uniq
-            self._table = None
+            self.vertex_keys = ((uniq[:, None] >> shifts) & ((1 << bits) - 1)) + self._key_min
         else:
-            _, first, inverse = np.unique(
-                flat_keys, axis=0, return_index=True, return_inverse=True
+            keys = np.stack(
+                [rem0_int + r - dp1 * (rank[:, :d] > d - r) for r in range(dp1)], axis=1
             )
-            self._packed_vertex_keys = None
-        self.num_vertices = len(first)
-        self.vertex_keys = flat_keys[first]
-        if not self._packable:
+            self.vertex_keys, inverse = np.unique(
+                keys.reshape(-1, d), axis=0, return_inverse=True
+            )
             self._table = {
                 tuple(row): i + 1 for i, row in enumerate(self.vertex_keys.tolist())
             }
+        self.num_vertices = len(self.vertex_keys)
         self.offsets = (inverse.reshape(n, dp1) + 1).astype(np.int64)
 
         # Blur neighbors: along direction j the neighbor keys are

@@ -204,3 +204,97 @@ def box_blur_bruteforce(plane, radius):
                     count += 1
             out[r, c] = total / count
     return out
+
+
+def lattice_embed_reference(coords: np.ndarray):
+    """Permutohedral embedding by the direct construction, for comparison.
+
+    Ranks each elevated coordinate by counting the coordinates that beat it
+    in an (n, d+1, d+1) comparison tensor, scatters barycentric weights one
+    column at a time, spells out every vertex key of every point, and finds
+    blur neighbors through a dict from key to vertex id. Vertex ids number
+    the distinct keys in lexicographic order from 1, as the lattice does.
+
+    Returns (offsets, barycentric, vertex_keys, blur_n1, blur_n2) with the
+    lattice's shapes and conventions.
+    """
+    f = np.asarray(coords, dtype=np.float64)
+    n, d = f.shape
+    dp1 = d + 1
+    idx = np.arange(d, dtype=np.float64)
+    scale = (dp1 * np.sqrt(2.0 / 3.0)) / np.sqrt((idx + 1.0) * (idx + 2.0))
+    basis = np.zeros((dp1, d))
+    basis[0, :] = 1.0
+    for j in range(1, dp1):
+        basis[j, j - 1] = -float(j)
+        basis[j, j:] = 1.0
+    elevated = (f * scale) @ basis.T
+
+    v = elevated / dp1
+    up = np.ceil(v) * dp1
+    down = np.floor(v) * dp1
+    rem0 = np.where(up - elevated < elevated - down, up, down)
+    coord_sums = np.rint(rem0.sum(axis=1) / dp1).astype(np.int64)
+
+    diff = elevated - rem0
+    beats = (diff[:, :, None] > diff[:, None, :]) | (
+        (diff[:, :, None] == diff[:, None, :])
+        & (np.arange(dp1)[None, :, None] < np.arange(dp1)[None, None, :])
+    )
+    rank = beats.sum(axis=1) + coord_sums[:, None]
+    low = rank < 0
+    rank[low] += dp1
+    rem0[low] += dp1
+    high = rank > d
+    rank[high] -= dp1
+    rem0[high] -= dp1
+
+    bary = np.zeros((n, d + 2))
+    rows = np.arange(n)
+    frac = (elevated - rem0) / dp1
+    for c in range(dp1):
+        bary[rows, d - rank[:, c]] += frac[:, c]
+        bary[rows, d + 1 - rank[:, c]] -= frac[:, c]
+    bary[:, 0] += 1.0 + bary[:, d + 1]
+
+    rem0_int = np.rint(rem0[:, :d]).astype(np.int64)
+    keys = np.empty((n, dp1, d), dtype=np.int64)
+    for remainder in range(dp1):
+        canonical = np.where(rank[:, :d] <= d - remainder, remainder, remainder - dp1)
+        keys[:, remainder, :] = rem0_int + canonical
+    vertex_keys, inverse = np.unique(keys.reshape(-1, d), axis=0, return_inverse=True)
+    offsets = inverse.reshape(n, dp1) + 1
+
+    table = {tuple(key): i + 1 for i, key in enumerate(vertex_keys.tolist())}
+    blur_n1 = np.zeros((dp1, len(vertex_keys) + 1), dtype=np.int64)
+    blur_n2 = np.zeros_like(blur_n1)
+    for j in range(dp1):
+        step = np.ones(d, dtype=np.int64)
+        if j < d:
+            step[j] -= dp1
+        for i, key in enumerate(vertex_keys):
+            blur_n1[j, i + 1] = table.get(tuple((key - step).tolist()), 0)
+            blur_n2[j, i + 1] = table.get(tuple((key + step).tolist()), 0)
+    return offsets, bary[:, :dp1], vertex_keys, blur_n1, blur_n2
+
+
+def meanfield_update_total_minus_own(q, theta, filt_bilateral, filt_spatial, w1, w2):
+    """One belief update from filtered beliefs, spelled out per label, float64.
+
+    q, theta, filt_*: (n, labels). The filtered values include each
+    kernel's unit self term, which is dropped first. Label l then pays w1
+    times the bilateral message mass of every other label (the total over
+    labels minus its own) plus the same for the spatial message, and rows
+    are renormalized with an exp-softmax.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    mb = np.asarray(filt_bilateral, dtype=np.float64) - q
+    ms = np.asarray(filt_spatial, dtype=np.float64) - q
+    penalty = np.zeros_like(q)
+    for lab in range(q.shape[1]):
+        penalty[:, lab] = w1 * (mb.sum(axis=1) - mb[:, lab]) + w2 * (
+            ms.sum(axis=1) - ms[:, lab]
+        )
+    z = -np.asarray(theta, dtype=np.float64) - penalty
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)

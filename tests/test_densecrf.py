@@ -1,6 +1,7 @@
 """Mean-field refinement: state handling, updates, energy, parameter search."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,11 @@ from denseseg.densecrf import (
 )
 from denseseg.metrics import confusion, mean_iou
 
-from oracles import energy_bruteforce, meanfield_step_bruteforce
+from oracles import (
+    energy_bruteforce,
+    meanfield_step_bruteforce,
+    meanfield_update_total_minus_own,
+)
 
 SCENE_COLORS = np.array(
     [[40, 40, 40], [200, 60, 60], [60, 200, 60], [60, 60, 200]], dtype=np.float64
@@ -239,6 +244,31 @@ class TestFilterCache:
             PairwiseFilters(random_image(rng, 65, 64), PairwiseParams(), "exact")
         PairwiseFilters(random_image(rng, 65, 64), PairwiseParams(), "lattice")
 
+    def test_spatial_cache_shared_only_where_it_applies(self):
+        """The spatial kernel depends on the image size, sigma_gamma and
+        backend alone: instances sharing a cache reuse it across images and
+        other kernel scales, and build a new one when any of the three
+        differs."""
+        rng = np.random.default_rng(8)
+        image = random_image(rng, 5, 6)
+        cache = {}
+        first = PairwiseFilters(image, PairwiseParams(), "lattice", spatial_cache=cache)
+        other = RgbImage(image.data[::-1].copy())
+        second = PairwiseFilters(other, PairwiseParams(sigma_alpha=20.0), "lattice",
+                                 spatial_cache=cache)
+        assert second.filter_spatial is first.filter_spatial
+        for image_, params, backend in (
+            (random_image(rng, 6, 5), PairwiseParams(), "lattice"),
+            (image, PairwiseParams(sigma_gamma=1.0), "lattice"),
+            (image, PairwiseParams(), "exact"),
+        ):
+            built = PairwiseFilters(image_, params, backend, spatial_cache=cache)
+            assert built.filter_spatial is not first.filter_spatial
+            fresh = PairwiseFilters(image_, params, backend)
+            values = rng.random((image_.height * image_.width, 2))
+            assert np.array_equal(built.filter_spatial(values), fresh.filter_spatial(values))
+        assert len(cache) == 4
+
     def test_different_backend_rejected(self):
         rng = np.random.default_rng(3)
         image = random_image(rng, 4, 4)
@@ -285,6 +315,51 @@ class TestMeanFieldStep:
         nxt = mean_field_step(state, unary, image, params, backend="exact")
         want = meanfield_step_bruteforce(state.q, unary.theta, image.data, params)
         assert np.abs(nxt.q - want).max() <= 1e-6
+
+    @pytest.mark.parametrize("backend", ["exact", "lattice"])
+    def test_closed_form_matches_total_minus_own(self, backend):
+        """The update drops the label-independent total from the Potts
+        penalty; an explicit per-label total-minus-own update agrees."""
+        rng = np.random.default_rng(17)
+        h, w, labels = 9, 11, 4
+        unary = unary_from_probs(random_posterior(rng, h, w, labels))
+        image = random_image(rng, h, w)
+        params = PairwiseParams(w1=3.0, sigma_alpha=6.0, sigma_beta=20.0,
+                                w2=2.0, sigma_gamma=2.0)
+        state = MeanFieldState(random_posterior(rng, h, w, labels))
+        filters = PairwiseFilters(image, params, backend)
+        dtype = np.float64 if backend == "exact" else np.float32
+        q = state.q.reshape(-1, labels).astype(dtype)
+        want = meanfield_update_total_minus_own(
+            q, unary.theta.reshape(-1, labels).astype(dtype),
+            filters.filter_bilateral(q), filters.filter_spatial(q),
+            params.w1, params.w2,
+        )
+        got = mean_field_step(state, unary, image, params, backend, filters=filters)
+        tol = 1e-12 if backend == "exact" else 2e-6
+        assert np.abs(got.q.reshape(-1, labels) - want).max() <= tol
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("backend,size", [("exact", 24), ("lattice", 24),
+                                              ("lattice", 72)])
+    def test_iterated_steps_reproduce_inference(self, backend, size, threads):
+        """A caller iterating mean_field_step from init_state replays
+        run_inference: same labels, beliefs within 1e-6. 72x72 is above
+        EXACT_MASS_MAX_PIXELS, where the lattice's own bilateral mass
+        stands in."""
+        rng = np.random.default_rng(size)
+        unary = unary_from_probs(random_posterior(rng, size, size, 5))
+        image = random_image(rng, size, size)
+        params = PairwiseParams(sigma_alpha=10.0, sigma_beta=40.0)
+        want_state, want_labels = run_inference(unary, image, params, iters=4,
+                                                backend=backend, threads=threads)
+        filters = PairwiseFilters(image, params, backend)
+        state = init_state(unary)
+        for _ in range(4):
+            state = mean_field_step(state, unary, image, params, backend,
+                                    filters=filters, threads=threads)
+        assert np.array_equal(labels_from_state(state).labels, want_labels.labels)
+        assert np.abs(state.q - want_state.q).max() <= 1e-6
 
     def test_rows_stay_normalized(self):
         rng = np.random.default_rng(21)
@@ -458,6 +533,20 @@ class TestLabelsAndInference:
         assert np.array_equal(s1.q, s8.q)
         assert np.array_equal(l1.labels, l8.labels)
 
+    def test_shared_pool_under_frequent_thread_switches(self):
+        """Eight workers on one pool for every update, switching threads
+        every microsecond: row blocks stay disjoint, so beliefs match the
+        single-thread run bit for bit."""
+        unary, image, _ = scene32(5, noise=0.5)
+        s1, _ = run_inference(unary, image, iters=4, backend="lattice", threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            s8, _ = run_inference(unary, image, iters=4, backend="lattice", threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(s1.q, s8.q)
+
     def test_refinement_beats_raw_argmax_on_scene(self):
         unary, image, gt = scene32(9, blur=2, noise=0.8)
         _, raw = run_inference(unary, image, iters=0)
@@ -606,14 +695,21 @@ class TestGridSearch:
 
     def test_filters_built_once_per_case_and_sigma_pair(self, monkeypatch):
         built = []
+        lattice_dims = []
 
         class CountingFilters(PairwiseFilters):
             def __init__(self, image, params, *args, **kwargs):
                 built.append((params.sigma_alpha, params.sigma_beta))
                 super().__init__(image, params, *args, **kwargs)
 
+        class CountingLattice(densecrf.PermutohedralLattice):
+            def __init__(self, feats):
+                lattice_dims.append(feats.d)
+                super().__init__(feats)
+
         monkeypatch.setattr(densecrf, "PairwiseFilters", CountingFilters)
-        cases = [split_case(1), cropped_case(2)]
+        monkeypatch.setattr(densecrf, "PermutohedralLattice", CountingLattice)
+        cases = [split_case(1), cropped_case(2), split_case(3)]
         report = []
         grid_search(cases, ranges=SHARED_RANGES, iters=2, backend="lattice",
                     report=report)
@@ -627,6 +723,10 @@ class TestGridSearch:
         sigma_pairs = sum(len({p[1:] for p in pts}) for pts in unscored.values())
         assert len(built) == sigma_pairs * len(cases)
         assert len(built) < sum(len(pts) for pts in unscored.values()) * len(cases)
+        # bilateral lattices per case and sigma pair; the spatial lattice
+        # once per image size (16x16 and 16x12) for the whole search
+        assert lattice_dims.count(5) == len(built)
+        assert lattice_dims.count(2) == 2
 
     def test_empty_cases_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from denseseg.hdfilter import (
     gaussian_filter_exact,
     lattice_filter_normalized,
 )
-from oracles import gaussian_filter_bruteforce, relative_l2
+from oracles import gaussian_filter_bruteforce, lattice_embed_reference, relative_l2
 
 
 def cluster(rng, n, d, spread=1.0, center=None):
@@ -176,6 +176,23 @@ class TestLatticeStructure:
                 u = int(lat.blur_n1[j, v])
                 if u != 0:
                     assert int(lat.blur_n2[j, u]) == v
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("scale", [1.0, 1.0 / 3.0, 3e8])
+    def test_embed_matches_direct_construction(self, d, scale):
+        """Sort-based ranks, scattered barycentric weights and incrementally
+        packed keys reproduce the direct construction bit for bit. Integer
+        coordinates tie elevated remainders; 3e8 takes the wide-key path."""
+        rng = np.random.default_rng(130 + d)
+        pts = rng.integers(-6, 7, size=(400, d)).astype(np.float64) * scale
+        lat = PermutohedralLattice(FeaturePoints(pts))
+        offsets, bary, keys, n1, n2 = lattice_embed_reference(pts)
+        assert lat._packable == (scale < 1e6)
+        assert np.array_equal(lat.offsets, offsets)
+        assert np.array_equal(lat.barycentric, bary)
+        assert np.array_equal(lat.vertex_keys, keys)
+        assert np.array_equal(lat.blur_n1, n1)
+        assert np.array_equal(lat.blur_n2, n2)
 
     def test_build_is_deterministic(self):
         rng = np.random.default_rng(98)

@@ -283,21 +283,29 @@ class PairwiseFilters:
             )
 
 
-def _row_pool(threads: int):
-    """One worker pool for every update of a run or search; none for one thread."""
-    return ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext()
+@contextlib.contextmanager
+def _row_blocks(threads: int):
+    """Yield run(rows, n), which calls rows(lo, hi) over `threads` contiguous
+    blocks of range(n). One worker pool serves every call; none for one thread."""
+    if threads <= 1:
+        yield lambda rows, n: rows(0, n)
+        return
+    with ThreadPoolExecutor(threads) as pool:
+        def run(rows, n: int) -> None:
+            bounds = np.linspace(0, n, threads + 1, dtype=np.int64)
+            list(pool.map(rows, bounds[:-1], bounds[1:]))
+        yield run
 
 
-def _update(q, theta, filters, params, pool, threads, timer) -> np.ndarray:
+def _update(q, theta, filters, params, run_rows, timer) -> np.ndarray:
     """One synchronous update of flat (n, labels) beliefs in their dtype.
 
     Under Potts gating each label pays for the message mass of all other
     labels: the total minus its own. The total is the same for every label
     and cancels in the softmax, which leaves
     softmax(w1 K_b q + w2 K_s q - (w1 + w2) q - theta); subtracting q drops
-    each kernel's unit self term. Rows are independent, so with a pool the
-    rows split into contiguous blocks and the result does not depend on the
-    thread count.
+    each kernel's unit self term. Rows are independent, so `run_rows` may
+    split them into blocks and the result does not depend on the thread count.
     """
     z = filters.filter_bilateral(q, timer=timer)
     zs = filters.filter_spatial(q, timer=timer)
@@ -316,11 +324,7 @@ def _update(q, theta, filters, params, pool, threads, timer) -> np.ndarray:
         np.exp(zb, out=zb)
         zb /= np.einsum("ij->i", zb)[:, None]
 
-    if pool is None:
-        rows(0, len(q))
-    else:
-        bounds = np.linspace(0, len(q), threads + 1, dtype=np.int64)
-        list(pool.map(rows, bounds[:-1], bounds[1:]))
+    run_rows(rows, len(q))
     if timer is not None:
         timer["update"] = timer.get("update", 0.0) + time.perf_counter() - start
     return z
@@ -345,8 +349,8 @@ def mean_field_step(
         raise ShapeError(
             f"belief shape {state.q.shape} does not match unary {unary.theta.shape}"
         )
-    with _row_pool(threads) as pool:
-        return _infer(unary, image, params, 1, backend, filters, pool, threads, timer, state.q)
+    with _row_blocks(threads) as run_rows:
+        return _infer(unary, image, params, 1, backend, filters, run_rows, timer, state.q)
 
 
 def labels_from_state(state: MeanFieldState) -> LabelMap:
@@ -372,13 +376,13 @@ def run_inference(
     the unary argmax. `filters`, when given, must have been built for this
     image, backend and kernel scales; otherwise they are built here.
     """
-    with _row_pool(threads) as pool:
+    with _row_blocks(threads) as run_rows:
         state = _infer(unary, image, params or PairwiseParams(), iters, backend,
-                       filters, pool, threads, timer)
+                       filters, run_rows, timer)
     return state, labels_from_state(state)
 
 
-def _infer(unary, image, params, iters, backend, filters, pool, threads, timer, q=None):
+def _infer(unary, image, params, iters, backend, filters, run_rows, timer, q=None):
     """`iters` updates from belief q, by default the classifier posterior.
 
     The belief stays flat through the loop and becomes a MeanFieldState
@@ -405,7 +409,7 @@ def _infer(unary, image, params, iters, backend, filters, pool, threads, timer, 
         q = q.reshape(-1, unary.labels).astype(dtype, copy=False)
         theta = unary.theta.reshape(-1, unary.labels).astype(dtype, copy=False)
         for _ in range(iters):
-            q = _update(q, theta, filters, params, pool, threads, timer)
+            q = _update(q, theta, filters, params, run_rows, timer)
     return MeanFieldState(q.reshape(unary.theta.shape))
 
 
@@ -516,7 +520,7 @@ def grid_search(
     cache: dict[tuple, float] = {}
     spatial_cache: dict = {}
 
-    def score_unscored(points, pool) -> None:
+    def score_unscored(points) -> None:
         totals = {point: 0.0 for point in points if point not in cache}
         by_sigmas: dict[tuple, list[float]] = {}
         for w1, sigma_alpha, sigma_beta in totals:
@@ -533,7 +537,7 @@ def grid_search(
                         w1=w1, sigma_alpha=sigma_alpha, sigma_beta=sigma_beta
                     )
                     state = _infer(unary, image, params, iters, backend,
-                                   filters, pool, threads, None)
+                                   filters, run_rows, None)
                     totals[(w1, sigma_alpha, sigma_beta)] += mean_iou(
                         confusion(labels_from_state(state), gt, unary.labels)
                     )
@@ -541,8 +545,8 @@ def grid_search(
         for point, total in totals.items():
             cache[point] = total / len(cases)
 
-    def scan(stage: str, points, pool, best_point=None, best_score=-np.inf) -> tuple:
-        score_unscored(points, pool)
+    def scan(stage: str, points, best_point=None, best_score=-np.inf) -> tuple:
+        score_unscored(points)
         for point in points:
             value = cache[point]
             if report is not None:
@@ -565,8 +569,8 @@ def grid_search(
         for b in ranges.sigma_alpha
         for c in ranges.sigma_beta
     ]
-    with _row_pool(threads) as pool:
-        winner = scan("coarse", coarse, pool)
+    with _row_blocks(threads) as run_rows:
+        winner = scan("coarse", coarse)
         refined = sorted(
             {
                 (a, b, c)
@@ -576,6 +580,5 @@ def grid_search(
                 if a >= 0 and b > 0 and c > 0
             }
         )
-        final = scan("refine", refined, pool, best_point=winner,
-                     best_score=cache[winner])
+        final = scan("refine", refined, best_point=winner, best_score=cache[winner])
     return PairwiseParams(w1=final[0], sigma_alpha=final[1], sigma_beta=final[2])

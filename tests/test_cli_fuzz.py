@@ -4,7 +4,6 @@ to form valid input, and never escapes with a traceback."""
 
 import contextlib
 import io
-import os
 import struct
 
 import numpy as np
@@ -17,7 +16,7 @@ from denseseg.core import FeatureMap, LabelMap, RgbImage, write_pgm, write_ppm, 
 
 HEIGHT, WIDTH, LABELS = 3, 4, 3
 FUZZ = settings(
-    max_examples=int(os.environ.get("DENSESEG_FUZZ_EXAMPLES", "150")),
+    max_examples=150,
     deadline=None,
     database=None,
     derandomize=True,

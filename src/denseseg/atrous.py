@@ -223,7 +223,12 @@ def _resample_bilinear(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     r_lo, r_hi, r_t = _axis_samples(data.shape[0], out_h)
     c_lo, c_hi, c_t = _axis_samples(data.shape[1], out_w)
     rows = data[r_lo] * (1.0 - r_t)[:, None, None] + data[r_hi] * r_t[:, None, None]
-    return rows[:, c_lo] * (1.0 - c_t)[None, :, None] + rows[:, c_hi] * c_t[None, :, None]
+    out = np.take(rows, c_lo, axis=1)
+    out *= (1.0 - c_t)[None, :, None]
+    far = np.take(rows, c_hi, axis=1)
+    far *= c_t[None, :, None]
+    out += far
+    return out
 
 
 def upsample_bilinear(fm: FeatureMap, factor: int) -> FeatureMap:

@@ -58,7 +58,7 @@ def _params_from_args(args) -> PairwiseParams:
 
 def _add_common(parser) -> None:
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the belief update")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed override where the command draws randomness")
 

@@ -15,15 +15,13 @@ one that scales to real images.
 
 from __future__ import annotations
 
-import contextlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import LabelMap, RgbImage, ShapeError
-from .hdfilter import FeaturePoints, PermutohedralLattice, gaussian_filter_exact
+from .hdfilter import _LOG_TINY, FeaturePoints, PermutohedralLattice, gaussian_filter_exact
 from .metrics import confusion, mean_iou
 
 PROB_CLAMP = 1e-20
@@ -34,6 +32,10 @@ BACKENDS = ("exact", "lattice")
 # bilateral kernel's row masses exactly up to it (one all-pairs pass at
 # filter-build time). Above this the lattice's own mass estimate is used.
 EXACT_MASS_MAX_PIXELS = 4096
+
+# Most belief entries (pixels x w1 values x labels) one lattice mean-field run
+# carries: about one 504x376x21 belief, so VOC-size `tune` runs one w1 at a time.
+BATCH_MAX_ELEMENTS = 1 << 22
 
 DEFAULT_WEIGHT_BILATERAL = 4.0
 DEFAULT_WEIGHT_SPATIAL = 3.0
@@ -112,8 +114,8 @@ class MeanFieldState:
         arr = np.ascontiguousarray(np.asarray(self.q), dtype=np.float64)
         if arr.ndim != 3 or arr.shape[2] < 2:
             raise ShapeError(f"belief must be (h, w, labels>=2), got {arr.shape}")
-        if (arr < 0).any():
-            raise ValueError("belief entries must be >= 0")
+        if not (arr >= 0).all():
+            raise ValueError("belief entries must be >= 0 and not NaN")
         sums = arr.sum(axis=2)
         if np.abs(sums - 1.0).max() > 1e-5:
             raise ValueError("belief rows must sum to 1 within 1e-5")
@@ -190,6 +192,24 @@ def _spatial_row_masses(height: int, width: int, sigma_gamma: float) -> np.ndarr
     return np.outer(axis_mass(height), axis_mass(width)).reshape(-1)
 
 
+def _bilateral_row_masses(feats: FeaturePoints) -> np.ndarray:
+    """Exact per-point kernel sums, as gaussian_filter_exact on all-ones values.
+
+    The kernel is symmetric, so a strip of 256 rows meets only its own and
+    later columns and credits both. Exponents are clamped at ln(tiny) + 1,
+    out of exp's slow subnormal range; each mass moves by at most n * e * tiny.
+    """
+    f, tile = feats.coords, 256
+    sq = np.einsum("ij,ij->i", f, f)
+    mass = np.zeros(feats.n)
+    for lo in range(0, feats.n, tile):
+        d2 = sq[lo:lo + tile, None] + sq[None, lo:] - 2.0 * (f[lo:lo + tile] @ f[lo:].T)
+        kernel = np.exp(np.maximum(-0.5 * np.maximum(d2, 0.0), _LOG_TINY + 1.0))
+        mass[lo:lo + tile] += kernel.sum(axis=1)
+        mass[lo + tile:] += kernel[:, tile:].sum(axis=0)
+    return mass
+
+
 class _KernelFilter:
     """One unit Gaussian kernel over fixed feature points, on one backend.
 
@@ -259,7 +279,7 @@ class PairwiseFilters:
         bilateral = bilateral_features(image, params.sigma_alpha, params.sigma_beta)
         small = backend == "lattice" and n <= EXACT_MASS_MAX_PIXELS
         self.filter_bilateral = _KernelFilter(
-            bilateral, backend, gaussian_filter_exact(np.ones(n), bilateral) if small else None
+            bilateral, backend, _bilateral_row_masses(bilateral) if small else None
         )
         cache = {} if spatial_cache is None else spatial_cache
         key = (h, w, params.sigma_gamma, backend)
@@ -283,48 +303,31 @@ class PairwiseFilters:
             )
 
 
-@contextlib.contextmanager
-def _row_blocks(threads: int):
-    """Yield run(rows, n), which calls rows(lo, hi) over `threads` contiguous
-    blocks of range(n). One worker pool serves every call; none for one thread."""
-    if threads <= 1:
-        yield lambda rows, n: rows(0, n)
-        return
-    with ThreadPoolExecutor(threads) as pool:
-        def run(rows, n: int) -> None:
-            bounds = np.linspace(0, n, threads + 1, dtype=np.int64)
-            list(pool.map(rows, bounds[:-1], bounds[1:]))
-        yield run
-
-
-def _update(q, theta, filters, params, run_rows, timer) -> np.ndarray:
-    """One synchronous update of flat (n, labels) beliefs in their dtype.
+def _update(q, theta, filters, w1, w12, w2, timer) -> np.ndarray:
+    """One synchronous update of flat (n, K*labels) beliefs in their dtype.
 
     Under Potts gating each label pays for the message mass of all other
     labels: the total minus its own. The total is the same for every label
     and cancels in the softmax, which leaves
     softmax(w1 K_b q + w2 K_s q - (w1 + w2) q - theta); subtracting q drops
-    each kernel's unit self term. Rows are independent, so `run_rows` may
-    split them into blocks and the result does not depend on the thread count.
+    each kernel's unit self term. Column block k is the belief under w1[k],
+    with w12[k] = w1[k] + w2; kernels act per column, so it equals a lone run.
     """
     z = filters.filter_bilateral(q, timer=timer)
     zs = filters.filter_spatial(q, timer=timer)
     start = time.perf_counter()
-    w1, w2 = params.w1, params.w2
-
-    def rows(lo: int, hi: int) -> None:
-        zb, zr = z[lo:hi], zs[lo:hi]
-        zb *= w1
-        zr *= w2
-        zb += zr
-        np.multiply(q[lo:hi], w1 + w2, out=zr)
-        zb -= zr
-        zb -= theta[lo:hi]
-        zb -= zb.max(axis=1, keepdims=True)
-        np.exp(zb, out=zb)
-        zb /= np.einsum("ij->i", zb)[:, None]
-
-    run_rows(rows, len(q))
+    n, labels = theta.shape
+    zb, zr = z.reshape(n, -1, labels), zs.reshape(n, -1, labels)
+    zb *= w1
+    zr *= w2
+    zb += zr
+    np.multiply(q.reshape(zb.shape), w12, out=zr)
+    zb -= zr
+    zb -= theta[:, None]
+    rows = z.reshape(-1, labels)
+    rows -= rows.max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
+    rows /= np.einsum("ij->i", rows)[:, None]
     if timer is not None:
         timer["update"] = timer.get("update", 0.0) + time.perf_counter() - start
     return z
@@ -343,14 +346,13 @@ def mean_field_step(
     """One synchronous belief update; every pixel reads only the old state.
 
     Runs run_inference's update, so iterating it from init_state reproduces
-    run_inference's beliefs.
+    run_inference's beliefs. `threads` is accepted and has no effect.
     """
     if state.q.shape != unary.theta.shape:
         raise ShapeError(
             f"belief shape {state.q.shape} does not match unary {unary.theta.shape}"
         )
-    with _row_blocks(threads) as run_rows:
-        return _infer(unary, image, params, 1, backend, filters, run_rows, timer, state.q)
+    return MeanFieldState(next(_infer(unary, image, [params], 1, backend, filters, timer, state.q)))
 
 
 def labels_from_state(state: MeanFieldState) -> LabelMap:
@@ -375,19 +377,23 @@ def run_inference(
     iters=0 returns the posterior itself, so the label map degenerates to
     the unary argmax. `filters`, when given, must have been built for this
     image, backend and kernel scales; otherwise they are built here.
+    `threads` is accepted and has no effect.
     """
-    with _row_blocks(threads) as run_rows:
-        state = _infer(unary, image, params or PairwiseParams(), iters, backend,
-                       filters, run_rows, timer)
+    batch = [params or PairwiseParams()]
+    state = MeanFieldState(next(_infer(unary, image, batch, iters, backend, filters, timer)))
     return state, labels_from_state(state)
 
 
-def _infer(unary, image, params, iters, backend, filters, run_rows, timer, q=None):
-    """`iters` updates from belief q, by default the classifier posterior.
+def _infer(unary, image, batch, iters, backend, filters, timer, q=None):
+    """Yield the (h, w, labels) belief after `iters` updates from belief q,
+    by default the classifier posterior, under each of `batch`, PairwiseParams
+    that differ only in w1.
 
-    The belief stays flat through the loop and becomes a MeanFieldState
-    once. The exact backend is the float64 correctness reference; the
-    lattice path runs in float32, matching its filtering precision.
+    The float32 lattice path runs as many weights side by side as
+    BATCH_MAX_ELEMENTS allows, one run after another, so a caller consuming
+    beliefs as they come holds one run's at a time. The float64 exact
+    reference runs one weight at a time: its BLAS product sums in an order
+    that depends on the column count.
     """
     if iters < 0:
         raise ValueError(f"iteration count must be >= 0, got {iters}")
@@ -398,19 +404,29 @@ def _infer(unary, image, params, iters, backend, filters, run_rows, timer, q=Non
             f"image {image.height}x{image.width} does not match "
             f"unary {unary.height}x{unary.width}"
         )
-    if q is None:
-        q = _softmax_rows(-unary.theta)
-    if iters > 0:
-        if filters is None:
-            filters = PairwiseFilters(image, params, backend, timer=timer)
-        else:
-            filters.require(image, params, backend)
-        dtype = np.float64 if backend == "exact" else np.float32
-        q = q.reshape(-1, unary.labels).astype(dtype, copy=False)
-        theta = unary.theta.reshape(-1, unary.labels).astype(dtype, copy=False)
+    if iters == 0:
+        yield from [_softmax_rows(-unary.theta) if q is None else q] * len(batch)
+        return
+    params, (h, w, labels), n = batch[0], unary.theta.shape, unary.height * unary.width
+    if filters is None:
+        filters = PairwiseFilters(image, params, backend, timer=timer)
+    else:
+        filters.require(image, params, backend)
+    dtype = np.float64 if backend == "exact" else np.float32
+    per_run = 1 if backend == "exact" else max(1, BATCH_MAX_ELEMENTS // (n * labels))
+    theta = unary.theta.reshape(n, labels).astype(dtype, copy=False)
+    for lo in range(0, len(batch), per_run):
+        part = batch[lo:lo + per_run]
+        w1 = np.array([p.w1 for p in part], dtype)[:, None]
+        w12 = np.array([p.w1 + p.w2 for p in part], dtype)[:, None]
+        # a start belief per run, freed by its first update; K > 1 blocks
+        # copy it, and the update never writes to its input
+        qk = _softmax_rows(-unary.theta) if q is None else q
+        qk = qk.reshape(n, 1, labels).astype(dtype, copy=False)
+        qk = np.broadcast_to(qk, (n, len(part), labels)).reshape(n, -1)
         for _ in range(iters):
-            q = _update(q, theta, filters, params, run_rows, timer)
-    return MeanFieldState(q.reshape(unary.theta.shape))
+            qk = _update(qk, theta, filters, w1, w12, params.w2, timer)
+        yield from np.moveaxis(qk.reshape(h, w, len(part), labels), 2, 0)
 
 
 def energy(
@@ -508,9 +524,9 @@ def grid_search(
 
     The pairwise filters depend on the kernel scales but not on w1, so each
     stage builds them once per case and (sigma_alpha, sigma_beta) pair and
-    runs every w1 of that pair through them. The spatial kernel depends only
-    on the image size here, so it is built once per size for the whole search.
-    With threads > 1, one worker pool serves every update of the search.
+    runs every w1 of that pair through them in as few batched runs as
+    BATCH_MAX_ELEMENTS allows. sigma_gamma is fixed, so the spatial kernel is
+    built once per image size for the whole search. `threads` has no effect.
     """
     cases = list(cases)
     if not cases:
@@ -522,26 +538,23 @@ def grid_search(
 
     def score_unscored(points) -> None:
         totals = {point: 0.0 for point in points if point not in cache}
-        by_sigmas: dict[tuple, list[float]] = {}
+        by_sigmas: dict[tuple, list[PairwiseParams]] = {}
         for w1, sigma_alpha, sigma_beta in totals:
-            by_sigmas.setdefault((sigma_alpha, sigma_beta), []).append(w1)
-        for (sigma_alpha, sigma_beta), weights in by_sigmas.items():
-            scales = PairwiseParams(sigma_alpha=sigma_alpha, sigma_beta=sigma_beta)
+            by_sigmas.setdefault((sigma_alpha, sigma_beta), []).append(
+                PairwiseParams(w1=w1, sigma_alpha=sigma_alpha, sigma_beta=sigma_beta)
+            )
+        for batch in by_sigmas.values():
             # Cases in manifest order, so each point's total sums as before;
             # one case's filters are dropped before the next case's are built.
             for unary, image, gt in cases:
-                filters = (PairwiseFilters(image, scales, backend, spatial_cache=spatial_cache)
+                filters = (PairwiseFilters(image, batch[0], backend, spatial_cache=spatial_cache)
                            if iters > 0 else None)
-                for w1 in weights:
-                    params = PairwiseParams(
-                        w1=w1, sigma_alpha=sigma_alpha, sigma_beta=sigma_beta
+                beliefs = _infer(unary, image, batch, iters, backend, filters, None)
+                for p, q in zip(batch, beliefs):
+                    totals[(p.w1, p.sigma_alpha, p.sigma_beta)] += mean_iou(
+                        confusion(labels_from_state(MeanFieldState(q)), gt, unary.labels)
                     )
-                    state = _infer(unary, image, params, iters, backend,
-                                   filters, run_rows, None)
-                    totals[(w1, sigma_alpha, sigma_beta)] += mean_iou(
-                        confusion(labels_from_state(state), gt, unary.labels)
-                    )
-                del filters
+                del filters, beliefs
         for point, total in totals.items():
             cache[point] = total / len(cases)
 
@@ -569,16 +582,15 @@ def grid_search(
         for b in ranges.sigma_alpha
         for c in ranges.sigma_beta
     ]
-    with _row_blocks(threads) as run_rows:
-        winner = scan("coarse", coarse)
-        refined = sorted(
-            {
-                (a, b, c)
-                for a in _refine_axis(ranges.w1, winner[0])
-                for b in _refine_axis(ranges.sigma_alpha, winner[1])
-                for c in _refine_axis(ranges.sigma_beta, winner[2])
-                if a >= 0 and b > 0 and c > 0
-            }
-        )
-        final = scan("refine", refined, best_point=winner, best_score=cache[winner])
+    winner = scan("coarse", coarse)
+    refined = sorted(
+        {
+            (a, b, c)
+            for a in _refine_axis(ranges.w1, winner[0])
+            for b in _refine_axis(ranges.sigma_alpha, winner[1])
+            for c in _refine_axis(ranges.sigma_beta, winner[2])
+            if a >= 0 and b > 0 and c > 0
+        }
+    )
+    final = scan("refine", refined, best_point=winner, best_score=cache[winner])
     return PairwiseParams(w1=final[0], sigma_alpha=final[1], sigma_beta=final[2])

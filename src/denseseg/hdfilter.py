@@ -112,6 +112,9 @@ class PermutohedralLattice:
             feats = FeaturePoints(feats)
         n, d = feats.n, feats.d
         dp1 = d + 1
+        # keys stay consistent below 2^40 embedded units, at most d (d+1) |feature|
+        if not np.abs(feats.coords).max() * d * dp1 < 2.0**40:
+            raise ValueError("kernel widths too narrow for the lattice; use wider kernels")
         self.num_points = n
         self.dim = d
 
@@ -216,13 +219,13 @@ class PermutohedralLattice:
         # classic correction matching the lattice kernel to the unit Gaussian.
         self.alpha = float(2 ** (dp1)) / (1.0 + 2.0 ** (-d))
 
+        # splat uses the CSC transpose view: each vertex sums in point order
         weights32 = self.barycentric.astype(np.float32)
         point_ids = np.repeat(np.arange(n, dtype=np.int64), dp1)
-        self._splat = scipy.sparse.csr_matrix(
+        self._slice = scipy.sparse.csr_matrix(
             (weights32.ravel(), (self.offsets.ravel(), point_ids)),
             shape=(self.num_vertices + 1, n),
-        )
-        self._slice = self._splat.T.tocsr()
+        ).T.tocsr()
 
     def _lookup(self, query_keys: np.ndarray) -> np.ndarray:
         """Vertex ids (1-based) for integer keys; 0 where the key is absent."""
@@ -242,7 +245,7 @@ class PermutohedralLattice:
         """Splat -> blur -> slice; float32 output approximating the exact filter."""
         v, squeezed = _as_value_matrix(values, self.num_points)
         t0 = time.perf_counter() if timer is not None else 0.0
-        lat = self._splat @ np.ascontiguousarray(v, dtype=np.float32)
+        lat = self._slice.T @ np.ascontiguousarray(v, dtype=np.float32)
         t0 = _tick(timer, "splat", t0)
         scratch = np.empty_like(lat)
         gathered = np.empty_like(lat)

@@ -298,3 +298,27 @@ def meanfield_update_total_minus_own(q, theta, filt_bilateral, filt_spatial, w1,
     z = -np.asarray(theta, dtype=np.float64) - penalty
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def meanfield_labels_all_pairs(theta, image, params, iters):
+    """Labels after `iters` float64 mean-field updates at any image size.
+
+    The bilateral and spatial sums come from gaussian_filter_exact over all
+    pixel pairs, with no pixel cap, so this is the exact reference beyond
+    the size the exact backend accepts.
+    """
+    from denseseg.densecrf import bilateral_features, spatial_features
+    from denseseg.hdfilter import gaussian_filter_exact
+
+    h, w, labels = theta.shape
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1, labels)
+    bilateral = bilateral_features(image, params.sigma_alpha, params.sigma_beta)
+    spatial = spatial_features(h, w, params.sigma_gamma)
+    e = np.exp(-theta - (-theta).max(axis=1, keepdims=True))
+    q = e / e.sum(axis=1, keepdims=True)
+    for _ in range(iters):
+        q = meanfield_update_total_minus_own(
+            q, theta, gaussian_filter_exact(q, bilateral),
+            gaussian_filter_exact(q, spatial), params.w1, params.w2,
+        )
+    return np.argmax(q, axis=1).reshape(h, w)

@@ -125,6 +125,16 @@ class TestRefine:
             assert "Traceback" not in err
             assert run_cli(*argv) == EXIT_OK
 
+    def test_tiny_kernel_width_exits_2(self, tmp_path, capsys):
+        """A color width of 1e-20 puts the features out of the lattice's
+        exact key range: exit 2 with a message, no traceback."""
+        paths = synth_files(tmp_path)
+        rc = run_cli("refine", "--unary", paths["unary"], "--image", paths["image"],
+                     "--out", tmp_path / "x.pgm", "--factor", 1, "--sigma-beta", "1e-20")
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "wider kernels" in err and "Traceback" not in err
+
     def test_missing_input_exits_3(self, tmp_path):
         paths = synth_files(tmp_path)
         rc = run_cli("refine", "--unary", tmp_path / "nope.dlt",

@@ -10,6 +10,7 @@ from denseseg import densecrf
 from denseseg.core import LabelMap, RgbImage, ShapeError
 from denseseg.densecrf import (
     BACKENDS,
+    EXACT_MASS_MAX_PIXELS,
     FilterCacheError,
     GridPoint,
     MeanFieldState,
@@ -17,7 +18,10 @@ from denseseg.densecrf import (
     PairwiseParams,
     SearchRanges,
     UnaryField,
+    _bilateral_row_masses,
+    _infer,
     _refine_axis,
+    bilateral_features,
     energy,
     grid_search,
     init_state,
@@ -26,10 +30,13 @@ from denseseg.densecrf import (
     run_inference,
     unary_from_probs,
 )
+from denseseg.hdfilter import FeaturePoints, PermutohedralLattice, gaussian_filter_exact
 from denseseg.metrics import confusion, mean_iou
+from denseseg.synth import Disk, Rect, SceneSpec, make_instance
 
 from oracles import (
     energy_bruteforce,
+    meanfield_labels_all_pairs,
     meanfield_step_bruteforce,
     meanfield_update_total_minus_own,
 )
@@ -48,22 +55,23 @@ def random_image(rng, h, w):
     return RgbImage(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
 
 
-def scene32(seed, blur=0, noise=0.0):
+def scene32(seed, blur=0, noise=0.0, size=32):
     """Two rectangles and a disk on a dark ground, with corrupted unaries.
 
     Corruption: one-hot ground truth, border-renormalized box blur of the
-    given radius, additive logit noise, softmax back to a posterior.
+    given radius, additive logit noise, softmax back to a posterior. Another
+    `size` scales the 32x32 layout to a size x size image.
     """
     rng = np.random.default_rng(seed)
-    h = w = 32
+    h = w = size
     gt = np.zeros((h, w), dtype=np.uint8)
     for label in (1, 2):
-        top, left = rng.integers(2, 12, size=2)
-        hh, ww = rng.integers(8, 16, size=2)
+        top, left = rng.integers(2, 12, size=2) * size // 32
+        hh, ww = rng.integers(8, 16, size=2) * size // 32
         gt[top : top + hh, left : left + ww] = label
-    r0, c0 = rng.integers(10, 22, size=2)
+    r0, c0 = rng.integers(10, 22, size=2) * size // 32
     ys, xs = np.mgrid[0:h, 0:w]
-    gt[(ys - r0) ** 2 + (xs - c0) ** 2 <= 36] = 3
+    gt[(ys - r0) ** 2 + (xs - c0) ** 2 <= 36 * size * size // 1024] = 3
     shaded = SCENE_COLORS[gt] + rng.normal(0.0, 3.0, (h, w, 3))
     img = np.clip(np.floor(shaded + 0.5), 0, 255).astype(np.uint8)
     z = np.eye(4, dtype=np.float64)[gt]
@@ -137,6 +145,12 @@ class TestMeanFieldState:
 
     def test_negative_rejected(self):
         q = np.stack([np.full((2, 2), 1.2), np.full((2, 2), -0.2)], axis=2)
+        with pytest.raises(ValueError):
+            MeanFieldState(q)
+
+    def test_nan_rejected(self):
+        q = np.full((2, 2, 2), 0.5)
+        q[1, 1] = np.nan
         with pytest.raises(ValueError):
             MeanFieldState(q)
 
@@ -479,6 +493,18 @@ class TestConvergenceBehavior:
             agree = float(np.mean(exact.labels == approx.labels))
             assert agree >= 0.99
 
+    @pytest.mark.parametrize("size", [64, 65])
+    def test_lattice_agrees_with_all_pairs_across_exact_mass_limit(self, size):
+        """64x64 is the largest image whose bilateral masses are exact and
+        65x65 the smallest past EXACT_MASS_MAX_PIXELS; the exact backend
+        refuses the latter, so the reference filters all pairs itself."""
+        assert (size * size <= EXACT_MASS_MAX_PIXELS) == (size == 64)
+        unary, image, _ = scene32(0, blur=2, noise=0.8, size=size)
+        params = PairwiseParams()
+        want = meanfield_labels_all_pairs(unary.theta, image, params, iters=5)
+        _, got = run_inference(unary, image, params, iters=5, backend="lattice")
+        assert float(np.mean(got.labels == want)) >= 0.99
+
 
 class TestLabelsAndInference:
     def test_argmax_tie_goes_to_lowest(self):
@@ -773,3 +799,102 @@ class TestGridSearch:
                            backend="exact", report=report)
         assert best.w2 == 3.0 and best.sigma_gamma == 3.0
         assert all(p.params.w2 == 3.0 for p in report)
+
+
+PALETTE = ((205, 60, 55), (65, 70, 210), (60, 170, 75), (225, 200, 60),
+           (160, 70, 190), (60, 190, 200))
+
+
+def quadrant_case(height, width, seed, labels=5):
+    """Four jittered tiles in fixed colours and two disks, blurred and noisy."""
+    rng = np.random.default_rng(seed)
+    row, col = height // 2, width // 2
+    tiles = ((0, 0, row, col), (0, col, row, width - col),
+             (row, 0, height - row, col), (row, col, height - row, width - col))
+    shapes = [Rect(label=int(lab), top=t, left=l, height=h, width=w, color=PALETTE[k],
+                   jitter=6.0)
+              for k, (lab, (t, l, h, w)) in enumerate(zip(rng.permutation(4) + 1, tiles))]
+    radius = min(height, width) // 6
+    for k in (4, 5):
+        shapes.append(Disk(label=int(rng.integers(1, 5)),
+                           row=int(rng.integers(radius, height - radius)),
+                           col=int(rng.integers(radius, width - radius)),
+                           radius=float(radius), color=PALETTE[k], jitter=6.0))
+    spec = SceneSpec(height=height, width=width, shapes=tuple(shapes),
+                     background=(30, 30, 30), blur=2, noise_sigma=2.0, seed=seed)
+    return make_instance(spec, num_labels=labels)
+
+
+class TestBilateralRowMasses:
+    @pytest.mark.parametrize("n", [1, 100, 700])
+    def test_matches_all_pairs_filter_of_ones(self, n):
+        """One point, fewer than one 256-row tile, and a partial last tile."""
+        rng = np.random.default_rng(n)
+        feats = FeaturePoints(rng.normal(0.0, 2.0, (n, 5)))
+        want = gaussian_filter_exact(np.ones(n), feats)
+        got = _bilateral_row_masses(feats)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_far_points_keep_only_their_self_mass(self):
+        feats = FeaturePoints(np.array([[0.0] * 5, [60.0] * 5, [-60.0] * 5]))
+        np.testing.assert_allclose(_bilateral_row_masses(feats), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("sigmas", [(80.0, 4.0), (120.0, 4.0), (30.0, 3.0), (100.0, 6.0)])
+    def test_lattice_gain_unchanged_on_quadrant_scene(self, sigmas):
+        """The float32 gain equals the one computed from
+        gaussian_filter_exact on all-ones values, bit for bit."""
+        _, image, _ = quadrant_case(48, 64, seed=7)
+        params = PairwiseParams(sigma_alpha=sigmas[0], sigma_beta=sigmas[1])
+        feats = bilateral_features(image, *sigmas)
+        lattice_mass = PermutohedralLattice(feats).filter(np.ones(feats.n, np.float32))
+        tiny = np.finfo(np.float32).tiny
+        want = (gaussian_filter_exact(np.ones(feats.n), feats)
+                / np.maximum(lattice_mass.astype(np.float64), tiny)).astype(np.float32)
+        got = PairwiseFilters(image, params, "lattice").filter_bilateral.gain
+        assert np.array_equal(got[:, 0], want)
+
+
+class TestBatchedWeights:
+    WEIGHTS = (0.1, 3.5, 4.7)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("per_run", [3, 2])
+    def test_batch_matches_lone_runs(self, monkeypatch, backend, per_run):
+        """Each w1 of a batch gets the belief a lone run_inference gives, bit
+        for bit, including w1 values float32 cannot hold exactly. With a
+        budget of two weights the lattice batch runs as 2 + 1; the exact
+        backend always runs one weight at a time."""
+        rng = np.random.default_rng(31)
+        h, w, labels = 12, 10, 2
+        unary = unary_from_probs(random_posterior(rng, h, w, labels))
+        image = random_image(rng, h, w)
+        monkeypatch.setattr(densecrf, "BATCH_MAX_ELEMENTS", per_run * h * w * labels)
+        batch = [PairwiseParams(w1=w1, sigma_alpha=20.0, sigma_beta=10.0)
+                 for w1 in self.WEIGHTS]
+        filters = PairwiseFilters(image, batch[0], backend)
+        columns = []
+        bilateral = filters.filter_bilateral
+
+        def counting(values, timer=None):
+            columns.append(values.shape[1])
+            return bilateral(values, timer=timer)
+
+        filters.filter_bilateral = counting
+        got = _infer(unary, image, batch, 3, backend, filters, None)
+        for params, q in zip(batch, got):
+            want, _ = run_inference(unary, image, params, iters=3, backend=backend)
+            assert np.array_equal(np.asarray(q, np.float64), want.q), params.w1
+        if backend == "exact":
+            runs = [1, 1, 1]
+        else:
+            runs = [3] if per_run == 3 else [2, 1]
+        assert columns == [k * labels for k in runs for _ in range(3)]
+
+    def test_zero_iterations_return_the_posterior_per_weight(self):
+        rng = np.random.default_rng(32)
+        unary = unary_from_probs(random_posterior(rng, 4, 5, 3))
+        batch = [PairwiseParams(w1=w1) for w1 in self.WEIGHTS]
+        got = list(_infer(unary, random_image(rng, 4, 5), batch, 0, "lattice", None, None))
+        assert len(got) == 3
+        for q in got:
+            np.testing.assert_allclose(q, init_state(unary).q, atol=1e-12)

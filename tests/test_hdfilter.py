@@ -177,6 +177,17 @@ class TestLatticeStructure:
                 if u != 0:
                     assert int(lat.blur_n2[j, u]) == v
 
+    def test_features_past_exact_key_range_rejected(self):
+        """Past 2^40 embedded units, such as colors over a 1e-20 kernel
+        width, float rounding gives keys outside the simplex: refused."""
+        rng = np.random.default_rng(98)
+        colors = rng.integers(0, 256, (6, 5)).astype(np.float64)
+        with pytest.raises(ValueError, match="wider kernels"):
+            PermutohedralLattice(FeaturePoints(colors / 1e-20))
+        with pytest.raises(ValueError, match="wider kernels"):
+            PermutohedralLattice(FeaturePoints(np.array([[0.0, 2.0**40 / 6]])))
+        PermutohedralLattice(FeaturePoints(np.array([[0.0, 2.0**40 / 6.5]])))
+
     @pytest.mark.parametrize("d", [2, 5])
     @pytest.mark.parametrize("scale", [1.0, 1.0 / 3.0, 3e8])
     def test_embed_matches_direct_construction(self, d, scale):

@@ -25,18 +25,6 @@ class FormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class PixelCoord:
-    """Integer grid position, x to the right and y downward."""
-
-    x: int
-    y: int
-
-    def __post_init__(self) -> None:
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"pixel coordinates must be non-negative, got ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
 class FeatureMap:
     """Dense real-valued map of shape (height, width, channels), float32."""
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,10 @@ EXACT_MASS_MAX_PIXELS = 4096
 # Most belief entries (pixels x w1 values x labels) one lattice mean-field run
 # carries: about one 504x376x21 belief, so VOC-size `tune` runs one w1 at a time.
 BATCH_MAX_ELEMENTS = 1 << 22
+
+# Points per block of the belief update's elementwise and softmax passes:
+# one block's rows stay in cache from the first pass to the last.
+UPDATE_BLOCK_POINTS = 8192
 
 DEFAULT_WEIGHT_BILATERAL = 4.0
 DEFAULT_WEIGHT_SPATIAL = 3.0
@@ -126,12 +131,31 @@ class MeanFieldState:
         return self.q.shape[2]
 
 
+def _exp_minus_row_max(rows: np.ndarray) -> None:
+    """exp(rows - row max), in place on a C-contiguous (m, labels) block.
+
+    numpy reduces a short last axis row by row, so the max is taken one
+    label column at a time instead; max is exact, so the result is the same.
+    """
+    top = rows[:, 0].copy()
+    for column in rows.T[1:]:
+        np.maximum(top, column, out=top)
+    rows -= top[:, None]
+    np.exp(rows, out=rows)
+
+
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Rowwise softmax along the last axis, dtype-preserving."""
-    shifted = z - z.max(axis=-1, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=-1, keepdims=True)
-    return shifted
+    """Rowwise softmax along the last axis, in place on C-contiguous z.
+
+    Rows sum by numpy's pairwise sum; einsum, as in _update, would round
+    some start beliefs differently.
+    """
+    rows = z.reshape(-1, z.shape[-1])
+    for lo in range(0, len(rows), UPDATE_BLOCK_POINTS):
+        block = rows[lo:lo + UPDATE_BLOCK_POINTS]
+        _exp_minus_row_max(block)
+        block /= block.sum(axis=1, keepdims=True)
+    return z
 
 
 def unary_from_probs(probs: np.ndarray, epsilon: float = PROB_CLAMP) -> UnaryField:
@@ -161,7 +185,8 @@ def bilateral_features(
     Rows follow row-major pixel order; d = 5.
     """
     position = spatial_features(image.height, image.width, sigma_alpha).coords
-    color = image.data.reshape(-1, 3).astype(np.float64) / sigma_beta
+    with np.errstate(over="ignore"):  # inf fails FeaturePoints' finite check
+        color = image.data.reshape(-1, 3).astype(np.float64) / sigma_beta
     return FeaturePoints(np.concatenate([position, color], axis=1))
 
 
@@ -169,8 +194,9 @@ def spatial_features(height: int, width: int, sigma_gamma: float) -> FeaturePoin
     """Pixel coordinates scaled by sigma_gamma, row-major order; d = 2."""
     rows, cols = np.mgrid[0:height, 0:width].astype(np.float64)
     feats = np.empty((height * width, 2))
-    feats[:, 0] = cols.ravel() / sigma_gamma
-    feats[:, 1] = rows.ravel() / sigma_gamma
+    with np.errstate(over="ignore"):  # inf fails FeaturePoints' finite check
+        feats[:, 0] = cols.ravel() / sigma_gamma
+        feats[:, 1] = rows.ravel() / sigma_gamma
     return FeaturePoints(feats)
 
 
@@ -213,8 +239,10 @@ def _bilateral_row_masses(feats: FeaturePoints) -> np.ndarray:
 class _KernelFilter:
     """One unit Gaussian kernel over fixed feature points, on one backend.
 
-    On the lattice, a given exact row mass turns into a per-point gain
-    true_mass / lattice_mass on every output.
+    On the lattice, the exact row masses from `true_mass()` turn into a
+    per-point gain true_mass / lattice_mass on every output. They are asked
+    for once the lattice is built, so features it refuses never reach an
+    all-pairs pass.
     """
 
     def __init__(self, feats: FeaturePoints, backend: str, true_mass=None) -> None:
@@ -223,7 +251,7 @@ class _KernelFilter:
         if backend == "lattice" and true_mass is not None:
             mass = self.structure.filter(np.ones(feats.n, np.float32)).astype(np.float64)
             tiny = np.finfo(np.float32).tiny
-            self.gain = (true_mass / np.maximum(mass, tiny)).astype(np.float32)[:, None]
+            self.gain = (true_mass() / np.maximum(mass, tiny)).astype(np.float32)[:, None]
 
     def __call__(self, values: np.ndarray, timer: dict | None = None) -> np.ndarray:
         if self.backend == "exact":
@@ -279,14 +307,14 @@ class PairwiseFilters:
         bilateral = bilateral_features(image, params.sigma_alpha, params.sigma_beta)
         small = backend == "lattice" and n <= EXACT_MASS_MAX_PIXELS
         self.filter_bilateral = _KernelFilter(
-            bilateral, backend, _bilateral_row_masses(bilateral) if small else None
+            bilateral, backend, partial(_bilateral_row_masses, bilateral) if small else None
         )
         cache = {} if spatial_cache is None else spatial_cache
         key = (h, w, params.sigma_gamma, backend)
         if key not in cache:
             cache[key] = _KernelFilter(
                 spatial_features(h, w, params.sigma_gamma), backend,
-                _spatial_row_masses(h, w, params.sigma_gamma),
+                partial(_spatial_row_masses, h, w, params.sigma_gamma),
             )
         self.filter_spatial = cache[key]
         if timer is not None:
@@ -312,22 +340,26 @@ def _update(q, theta, filters, w1, w12, w2, timer) -> np.ndarray:
     softmax(w1 K_b q + w2 K_s q - (w1 + w2) q - theta); subtracting q drops
     each kernel's unit self term. Column block k is the belief under w1[k],
     with w12[k] = w1[k] + w2; kernels act per column, so it equals a lone run.
+    Every step after filtering runs over blocks of UPDATE_BLOCK_POINTS points,
+    with the same operations in the same order on every element.
     """
     z = filters.filter_bilateral(q, timer=timer)
     zs = filters.filter_spatial(q, timer=timer)
     start = time.perf_counter()
     n, labels = theta.shape
-    zb, zr = z.reshape(n, -1, labels), zs.reshape(n, -1, labels)
-    zb *= w1
-    zr *= w2
-    zb += zr
-    np.multiply(q.reshape(zb.shape), w12, out=zr)
-    zb -= zr
-    zb -= theta[:, None]
-    rows = z.reshape(-1, labels)
-    rows -= rows.max(axis=1, keepdims=True)
-    np.exp(rows, out=rows)
-    rows /= np.einsum("ij->i", rows)[:, None]
+    zb, zr, qb = (a.reshape(n, -1, labels) for a in (z, zs, q))
+    for lo in range(0, n, UPDATE_BLOCK_POINTS):
+        hi = lo + UPDATE_BLOCK_POINTS
+        b, r = zb[lo:hi], zr[lo:hi]
+        b *= w1
+        r *= w2
+        b += r
+        np.multiply(qb[lo:hi], w12, out=r)
+        b -= r
+        b -= theta[lo:hi, None]
+        rows = b.reshape(-1, labels)
+        _exp_minus_row_max(rows)
+        rows /= np.einsum("ij->i", rows)[:, None]
     if timer is not None:
         timer["update"] = timer.get("update", 0.0) + time.perf_counter() - start
     return z

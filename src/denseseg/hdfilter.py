@@ -68,22 +68,29 @@ def gaussian_filter_exact(values, feats: FeaturePoints, block_size: int = 2048) 
     """All-pairs unit-variance Gaussian filtering, float64, self term included."""
     v, squeezed = _as_value_matrix(values, feats.n)
     v = v.astype(np.float64)
-    f = feats.coords
-    sq = np.einsum("ij,ij->i", f, f)
+    # Centre each dimension on its midrange, which leaves the smallest
+    # magnitudes (and, unlike the mean, cannot overflow): a common offset
+    # would otherwise cancel the distances out of the identity below.
+    low, high = feats.coords.min(axis=0), feats.coords.max(axis=0)
+    f = feats.coords - (low / 2 + high / 2)
     out = np.empty_like(v)
-    for start in range(0, feats.n, block_size):
-        stop = min(start + block_size, feats.n)
-        block = f[start:stop]
-        # ||a-b||^2 via the inner-product identity; clamp the tiny negatives
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (block @ f.T)
-        np.maximum(d2, 0.0, out=d2)
-        d2 *= -0.5  # now the log of each kernel entry
-        # exp is many times slower where its result is subnormal. Entries
-        # below tiny are left at 0 unevaluated, which moves an output row by
-        # at most n * tiny * max|v|.
-        kernel = np.zeros_like(d2)
-        np.exp(d2, out=kernel, where=d2 >= _LOG_TINY)
-        out[start:stop] = kernel @ v
+    # Squares past the float range give inf or NaN distances, whose kernel
+    # entries are left at 0; each point's own distance is set to 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", f, f)
+        for start in range(0, feats.n, block_size):
+            stop = min(start + block_size, feats.n)
+            # ||a-b||^2 via the inner-product identity; clamp the tiny negatives
+            d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (f[start:stop] @ f.T)
+            np.maximum(d2, 0.0, out=d2)
+            d2[np.arange(stop - start), np.arange(start, stop)] = 0.0
+            d2 *= -0.5  # now the log of each kernel entry
+            # exp is many times slower where its result is subnormal. Entries
+            # below tiny are left at 0 unevaluated, which moves an output row
+            # by at most n * tiny * max|v|.
+            kernel = np.zeros_like(d2)
+            np.exp(d2, out=kernel, where=d2 >= _LOG_TINY)
+            out[start:stop] = kernel @ v
     return out[:, 0] if squeezed else out
 
 
@@ -93,6 +100,14 @@ def _tick(timer: dict | None, key: str, t0: float) -> float:
     now = time.perf_counter()
     timer[key] = timer.get(key, 0.0) + (now - t0)
     return now
+
+
+def _byte_rows(keys: np.ndarray) -> np.ndarray:
+    """int64 key rows as raw byte strings whose bytewise order is the rows'
+    lexicographic order (sign bit flipped, most significant byte first), so
+    searchsorted and == compare each row as one value."""
+    flipped = keys.view(np.uint64) ^ np.uint64(1 << 63)
+    return flipped.astype(">u8").view(np.dtype((np.void, 8 * keys.shape[-1])))[..., 0]
 
 
 class PermutohedralLattice:
@@ -113,7 +128,7 @@ class PermutohedralLattice:
         n, d = feats.n, feats.d
         dp1 = d + 1
         # keys stay consistent below 2^40 embedded units, at most d (d+1) |feature|
-        if not np.abs(feats.coords).max() * d * dp1 < 2.0**40:
+        if not np.abs(feats.coords).max() < 2.0**40 / (d * dp1):
             raise ValueError("kernel widths too narrow for the lattice; use wider kernels")
         self.num_points = n
         self.dim = d
@@ -134,30 +149,35 @@ class PermutohedralLattice:
         up = np.ceil(v) * dp1
         down = np.floor(v) * dp1
         rem0 = np.where(up - elevated < elevated - down, up, down)
-        coord_sums = np.rint(rem0.sum(axis=1) / dp1).astype(np.int64)
+        # rem0 holds multiples of d+1 below 2^44, so any summation order is exact
+        coord_sums = np.rint(np.einsum("ij->i", rem0) / dp1).astype(np.int64)
 
         # rank[i] = how many coordinates exceed coordinate i (ties to the earlier
-        # index): its place in a stable descending sort, then shifted back onto
-        # the canonical simplex range.
-        order = np.argsort(rem0 - elevated, axis=1, kind="stable")
-        rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.arange(dp1)[None, :], axis=1)
-        rank += coord_sums[:, None]
-        low = rank < 0
-        rank[low] += dp1
-        rem0[low] += dp1
-        high = rank > d
-        rank[high] -= dp1
-        rem0[high] -= dp1
+        # index), counted by pairwise comparison as in the reference lattice
+        # code, then shifted back onto the canonical simplex range.
+        gap = np.ascontiguousarray((elevated - rem0).T)
+        rank_t = np.zeros((dp1, n), dtype=np.int64)
+        for i in range(dp1):
+            for k in range(i + 1, dp1):
+                k_first = gap[k] > gap[i]
+                rank_t[i] += k_first
+                rank_t[k] += ~k_first
+        rank_t += coord_sums
+        wrap = dp1 * ((rank_t < 0).astype(np.int64) - (rank_t > d))
+        rank_t += wrap
+        # only where it moves, so rem0 keeps the signs of its zeros
+        np.add(rem0.T, wrap, out=rem0.T, where=wrap != 0)
+        rank = rank_t.T
+        # flat index of each (point, rank) cell in a C-ordered (n, d+1) array
+        by_rank_at = rank + np.arange(0, n * dp1, dp1)[:, None]
 
         # Barycentric weights from the fractional remainders in rank order
         # (rem0 may have moved in the wraparound fix above): vertex k gets
         # s[d - k] - s[d + 1 - k], and vertex 0 also the wrapped 1 - s[0].
-        frac = (elevated - rem0) / dp1
-        by_rank = np.empty_like(frac)
-        np.put_along_axis(by_rank, rank, frac, axis=1)
+        by_rank = np.empty((n, dp1))
+        by_rank.reshape(-1)[by_rank_at] = (elevated - rem0) / dp1
         rev = by_rank[:, ::-1]
-        bary = np.empty_like(frac)
+        bary = np.empty_like(by_rank)
         np.subtract(rev[:, 1:], rev[:, :-1], out=bary[:, 1:])
         bary[:, 0] = by_rank[:, d] + (1.0 - by_rank[:, 0])
         self.barycentric = bary
@@ -167,28 +187,32 @@ class PermutohedralLattice:
         # [rem0_j - rank_j, rem0_j - rank_j + d].
         rem0_int = np.rint(rem0[:, :d]).astype(np.int64)
         lowest = rem0_int - rank[:, :d]
-        self._key_min = lowest.min(axis=0)
-        self._key_range = lowest.max(axis=0) + d - self._key_min
-        # one spare bit per column keeps out-of-range neighbor queries from
-        # carrying into the next column's field before the validity mask hits
-        bits = np.array([int(r).bit_length() + 1 for r in self._key_range], dtype=np.int64)
+        key_min = lowest.min(axis=0)
+        key_range = lowest.max(axis=0) + d - key_min
+        # Blur direction j moves a key by -+(1 - (d+1) e_j) in the stored
+        # coordinates (the implied last one has no e_j).
+        step = dp1 * np.eye(dp1, d, dtype=np.int64) - 1
+        # Each packed field has one spare bit: key_range >= d, so a step out
+        # of [0, key_range] either borrows, leaving a field above its range,
+        # or lands in (key_range, key_range + d] with no carry. Either way
+        # the packed query matches no vertex, so no validity mask is needed.
+        bits = np.array([int(r).bit_length() + 1 for r in key_range], dtype=np.int64)
         self._packable = int(bits.sum()) <= 63
         if self._packable:
             shifts = np.concatenate([np.cumsum(bits[::-1])[::-1][1:], [0]])
-            self._key_shifts = shifts
             # Vertex 0 is rem0 itself; vertex r adds one to every column and
             # wraps the column of rank d + 1 - r (the implied last column
             # has no field).
             unit = np.append(1 << shifts, 0)
-            unit_by_rank = np.empty_like(rank)
-            np.put_along_axis(unit_by_rank, rank, unit[None, :], axis=1)
+            unit_by_rank = np.empty((n, dp1), dtype=np.int64)
+            unit_by_rank.reshape(-1)[by_rank_at] = unit
             packed = np.empty((n, dp1), dtype=np.int64)
-            packed[:, 0] = (rem0_int - self._key_min) @ unit[:d]
-            for r in range(1, dp1):
-                packed[:, r] = packed[:, r - 1] + unit.sum() - dp1 * unit_by_rank[:, dp1 - r]
-            uniq, inverse = np.unique(packed.reshape(-1), return_inverse=True)
-            self._packed_vertex_keys = uniq
-            self.vertex_keys = ((uniq[:, None] >> shifts) & ((1 << bits) - 1)) + self._key_min
+            packed[:, 0] = (rem0_int - key_min) @ unit[:d]
+            packed[:, 1:] = unit.sum() - dp1 * unit_by_rank[:, :0:-1]
+            np.cumsum(packed, axis=1, out=packed)
+            table, inverse = np.unique(packed.reshape(-1), return_inverse=True)
+            self.vertex_keys = ((table[:, None] >> shifts) & ((1 << bits) - 1)) + key_min
+            base, moves = table, step @ unit[:d]
         else:
             keys = np.stack(
                 [rem0_int + r - dp1 * (rank[:, :d] > d - r) for r in range(dp1)], axis=1
@@ -196,24 +220,20 @@ class PermutohedralLattice:
             self.vertex_keys, inverse = np.unique(
                 keys.reshape(-1, d), axis=0, return_inverse=True
             )
-            self._table = {
-                tuple(row): i + 1 for i, row in enumerate(self.vertex_keys.tolist())
-            }
+            table = _byte_rows(self.vertex_keys)  # sorted, as np.unique left them
+            base, moves = self.vertex_keys, step
         self.num_vertices = len(self.vertex_keys)
         self.offsets = (inverse.reshape(n, dp1) + 1).astype(np.int64)
 
-        # Blur neighbors: along direction j the neighbor keys are
-        # key -+ 1 in every stored coordinate, with +-(d+1) restored at j < d.
         self.blur_n1 = np.zeros((dp1, self.num_vertices + 1), dtype=np.int64)
         self.blur_n2 = np.zeros((dp1, self.num_vertices + 1), dtype=np.int64)
-        for j in range(dp1):
-            nk1 = self.vertex_keys - 1
-            nk2 = self.vertex_keys + 1
-            if j < d:
-                nk1[:, j] += dp1
-                nk2[:, j] -= dp1
-            self.blur_n1[j, 1:] = self._lookup(nk1)
-            self.blur_n2[j, 1:] = self._lookup(nk2)
+        for out, sign in ((self.blur_n1, 1), (self.blur_n2, -1)):
+            queries = base[None] + sign * moves[:, None]
+            if not self._packable:
+                queries = _byte_rows(queries)
+            pos = np.searchsorted(table, queries)
+            np.minimum(pos, self.num_vertices - 1, out=pos)
+            out[:, 1:] = np.where(table[pos] == queries, pos + 1, 0)
 
         # Gain restoring the halved blur mass over d+1 passes, times the
         # classic correction matching the lattice kernel to the unit Gaussian.
@@ -226,20 +246,6 @@ class PermutohedralLattice:
             (weights32.ravel(), (self.offsets.ravel(), point_ids)),
             shape=(self.num_vertices + 1, n),
         ).T.tocsr()
-
-    def _lookup(self, query_keys: np.ndarray) -> np.ndarray:
-        """Vertex ids (1-based) for integer keys; 0 where the key is absent."""
-        if self._packable:
-            shifted = query_keys - self._key_min
-            valid = np.all((shifted >= 0) & (shifted <= self._key_range), axis=1)
-            packed = (shifted.clip(0) << self._key_shifts).sum(axis=1)
-            pos = np.searchsorted(self._packed_vertex_keys, packed)
-            pos = np.minimum(pos, len(self._packed_vertex_keys) - 1)
-            found = valid & (self._packed_vertex_keys[pos] == packed)
-            return np.where(found, pos + 1, 0)
-        return np.array(
-            [self._table.get(tuple(row), 0) for row in query_keys.tolist()], dtype=np.int64
-        )
 
     def filter(self, values, timer: dict | None = None) -> np.ndarray:
         """Splat -> blur -> slice; float32 output approximating the exact filter."""

@@ -322,3 +322,34 @@ def meanfield_labels_all_pairs(theta, image, params, iters):
             gaussian_filter_exact(q, spatial), params.w1, params.w2,
         )
     return np.argmax(q, axis=1).reshape(h, w)
+
+
+def softmax_rows_whole_array(z):
+    """Rowwise softmax over the whole array in one pass each: the row max by
+    max(axis=-1) and the row sum by sum(axis=-1), on a copy of z."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted
+
+
+def meanfield_update_whole_array(q, theta, zb, zs, w1, w12, w2):
+    """The closed-form belief update over the whole flat (n, K*labels) array.
+
+    zb and zs are the bilateral and spatial filter outputs for q; zb is
+    overwritten and returned. Each step runs once over every element, the
+    row max by max(axis=1) and the row sum by einsum.
+    """
+    n, labels = theta.shape
+    b, r = zb.reshape(n, -1, labels), zs.reshape(n, -1, labels)
+    b *= w1
+    r *= w2
+    b += r
+    np.multiply(q.reshape(b.shape), w12, out=r)
+    b -= r
+    b -= theta[:, None]
+    rows = zb.reshape(-1, labels)
+    rows -= rows.max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
+    rows /= np.einsum("ij->i", rows)[:, None]
+    return zb

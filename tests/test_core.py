@@ -11,7 +11,6 @@ from denseseg.core import (
     FeatureMap,
     FormatError,
     LabelMap,
-    PixelCoord,
     RgbImage,
     ShapeError,
     read_pgm,
@@ -69,11 +68,6 @@ class TestContainers:
             LabelMap(np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(ShapeError):
             LabelMap(np.zeros((2, 2, 1), dtype=np.uint8))
-
-    def test_pixel_coord_rejects_negative(self):
-        PixelCoord(0, 0)
-        with pytest.raises(ValueError):
-            PixelCoord(-1, 0)
 
 
 class TestTensorFormat:

@@ -1,6 +1,7 @@
 """Mean-field refinement: state handling, updates, energy, parameter search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from denseseg.densecrf import (
     labels_from_state,
     mean_field_step,
     run_inference,
+    spatial_features,
     unary_from_probs,
 )
 from denseseg.hdfilter import FeaturePoints, PermutohedralLattice, gaussian_filter_exact
@@ -39,6 +41,8 @@ from oracles import (
     meanfield_labels_all_pairs,
     meanfield_step_bruteforce,
     meanfield_update_total_minus_own,
+    meanfield_update_whole_array,
+    softmax_rows_whole_array,
 )
 
 SCENE_COLORS = np.array(
@@ -282,6 +286,34 @@ class TestFilterCache:
             values = rng.random((image_.height * image_.width, 2))
             assert np.array_equal(built.filter_spatial(values), fresh.filter_spatial(values))
         assert len(cache) == 4
+
+    def test_overflowing_features_refused_quietly(self):
+        """Widths so small that features overflow fail FeaturePoints'
+        finite check, with no overflow warning on the way."""
+        image = RgbImage(np.full((2, 3, 3), 200, np.uint8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                bilateral_features(image, 1.0, 5e-324)
+            with pytest.raises(ValueError, match="finite"):
+                bilateral_features(image, 5e-324, 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                spatial_features(2, 3, 5e-324)
+
+    def test_lattice_refusal_comes_before_the_mass_pass(self, monkeypatch):
+        calls = []
+
+        def masses(feats):
+            calls.append(feats)
+            return np.ones(feats.n)
+
+        monkeypatch.setattr(densecrf, "_bilateral_row_masses", masses)
+        image = random_image(np.random.default_rng(3), 8, 8)
+        with pytest.raises(ValueError, match="wider kernels"):
+            PairwiseFilters(image, PairwiseParams(sigma_beta=1e-12), "lattice")
+        assert calls == []
+        PairwiseFilters(image, PairwiseParams(), "lattice")
+        assert len(calls) == 1
 
     def test_different_backend_rejected(self):
         rng = np.random.default_rng(3)
@@ -898,3 +930,76 @@ class TestBatchedWeights:
         assert len(got) == 3
         for q in got:
             np.testing.assert_allclose(q, init_state(unary).q, atol=1e-12)
+
+
+class _FixedFilters:
+    """Filters returning fresh copies of fixed outputs, as the update expects."""
+
+    def __init__(self, zb, zs):
+        self.zb, self.zs = zb, zs
+
+    def filter_bilateral(self, q, timer=None):
+        return self.zb.copy()
+
+    def filter_spatial(self, q, timer=None):
+        return self.zs.copy()
+
+
+def update_inputs(rng, n, k, labels, dtype, tied):
+    """Beliefs, costs and filter outputs for one blocked-update check. With
+    `tied`, small integers give many tied row maxima after the update."""
+    if tied:
+        draw = lambda *shape: rng.integers(0, 3, shape).astype(dtype)  # noqa: E731
+    else:
+        draw = lambda *shape: rng.normal(size=shape).astype(dtype)  # noqa: E731
+    return draw(n, k * labels), draw(n, labels), draw(n, k * labels), draw(n, k * labels)
+
+
+class TestBlockedUpdate:
+    """The update and start softmax run over UPDATE_BLOCK_POINTS-point blocks
+    and must equal the whole-array arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("labels", [2, 5, 21, 256])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_update_matches_whole_array(self, monkeypatch, dtype, labels, k):
+        block = 64
+        monkeypatch.setattr(densecrf, "UPDATE_BLOCK_POINTS", block)
+        rng = np.random.default_rng(labels * 10 + k)
+        w1 = np.array([4.0, 0.1, 3.5][:k], dtype)[:, None]
+        w12 = np.array([7.0, 3.1, 6.5][:k], dtype)[:, None]
+        for n in (block - 1, block, block + 1, 2 * block + 3):
+            for tied in (False, True):
+                q, theta, zb, zs = update_inputs(rng, n, k, labels, dtype, tied)
+                want = meanfield_update_whole_array(q, theta, zb.copy(), zs.copy(), w1, w12, 3.0)
+                got = densecrf._update(q, theta, _FixedFilters(zb, zs), w1, w12, 3.0, None)
+                assert got.dtype == dtype
+                assert np.array_equal(got, want), (n, tied)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("labels", [2, 5, 21, 256])
+    def test_softmax_rows_matches_whole_array(self, monkeypatch, dtype, labels):
+        block = 64
+        monkeypatch.setattr(densecrf, "UPDATE_BLOCK_POINTS", block)
+        rng = np.random.default_rng(labels)
+        for n in (block - 1, block, block + 1, 2 * block + 3):
+            for z in (rng.normal(scale=20.0, size=(n, 1, labels)),
+                      rng.integers(-2, 1, (1, n, labels)).astype(np.float64)):
+                z = z.astype(dtype)
+                want = softmax_rows_whole_array(z)
+                got = densecrf._softmax_rows(z.copy())
+                assert got.shape == z.shape and got.dtype == dtype
+                assert np.array_equal(got, want), n
+
+    def test_module_block_size(self):
+        """The unpatched block size on both sides of two block edges."""
+        block = densecrf.UPDATE_BLOCK_POINTS
+        rng = np.random.default_rng(7)
+        w1, w12 = np.float32([[4.0]]), np.float32([[7.0]])
+        for n in (block - 1, block + 1, 2 * block + 3):
+            q, theta, zb, zs = update_inputs(rng, n, 1, 21, np.float32, n == block + 1)
+            want = meanfield_update_whole_array(q, theta, zb.copy(), zs.copy(), w1, w12, 3.0)
+            got = densecrf._update(q, theta, _FixedFilters(zb, zs), w1, w12, 3.0, None)
+            assert np.array_equal(got, want)
+            z = rng.normal(scale=20.0, size=(n, 21))
+            assert np.array_equal(densecrf._softmax_rows(z.copy()), softmax_rows_whole_array(z))

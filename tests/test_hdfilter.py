@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from denseseg.core import ShapeError
+from denseseg.core import RgbImage, ShapeError
+from denseseg.densecrf import bilateral_features
 from denseseg.hdfilter import (
     FeaturePoints,
     PermutohedralLattice,
@@ -15,6 +18,21 @@ from denseseg.hdfilter import (
     lattice_filter_normalized,
 )
 from oracles import gaussian_filter_bruteforce, lattice_embed_reference, relative_l2
+
+
+@st.composite
+def edge_points(draw):
+    """Small sets of points on integer grids whose spans sit at and next to
+    powers of two, so key ranges often fill their packed fields exactly and
+    boundary vertices have neighbours just outside them. The largest scale
+    the lattice accepts takes the wide-key path for d >= 2."""
+    d = draw(st.integers(1, 6))
+    span = draw(st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 255, 256]))
+    rows = draw(st.lists(st.lists(st.integers(-span, span), min_size=d, max_size=d),
+                         min_size=1, max_size=40))
+    wide = 2.0**38 / (d * (d + 1) * span)
+    unit = draw(st.sampled_from([1.0, 0.5, 1.0 / 3.0, 1.0 / (d + 1), 0.37, wide]))
+    return np.array(rows, dtype=np.float64) * unit
 
 
 def cluster(rng, n, d, spread=1.0, center=None):
@@ -105,8 +123,10 @@ class TestExactFilter:
         tiny = np.finfo(np.float64).tiny
         rng = np.random.default_rng(84)
         f = rng.uniform(0.0, 60.0, size=(400, 2))
-        sq = np.einsum("ij,ij->i", f, f)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (f @ f.T), 0.0)
+        c = f - (f.min(axis=0) / 2 + f.max(axis=0) / 2)
+        sq = np.einsum("ij,ij->i", c, c)
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (c @ c.T), 0.0)
+        np.fill_diagonal(d2, 0.0)
         kernel = np.exp(-0.5 * d2)
         assert ((kernel > 0.0) & (kernel < tiny)).sum() > 100
         assert (d2 < -2.0 * math.log(tiny)).mean() > 0.5
@@ -116,6 +136,29 @@ class TestExactFilter:
         v = rng.normal(size=(400, 3))
         diff = np.abs(gaussian_filter_exact(v, FeaturePoints(f)) - kernel @ v).max()
         assert diff <= 400 * tiny * np.abs(v).max()
+
+    def test_huge_coordinates_keep_every_term(self):
+        """Centring keeps the identity from overflowing (0, 1e200, 2e200)
+        or cancelling (1e8, 1e8 + 1); the midrange centre cannot overflow
+        where the mean would (two points at 1.5e308)."""
+        cases = (
+            ([[0.0], [1e200], [2e200]], [1.0, 1.0, 1.0]),
+            ([[1e8], [1e8 + 1.0]], [1.0 + math.exp(-0.5)] * 2),
+            ([[1.5e308, -3.0], [1.5e308, -3.0]], [2.0, 2.0]),
+        )
+        for coords, mass in cases:
+            out = gaussian_filter_exact(np.ones(len(coords)), FeaturePoints(np.array(coords)))
+            assert np.allclose(out, mass, rtol=1e-12, atol=0.0), coords
+
+    def test_constant_colour_at_tiny_colour_width(self):
+        """Colours over sigma_beta = 1e-7 sit near 2e9 in every row; the
+        position term must survive next to them."""
+        rng = np.random.default_rng(85)
+        image = RgbImage(np.broadcast_to(np.uint8([17, 200, 90]), (6, 5, 3)).copy())
+        feats = bilateral_features(image, 2.0, 1e-7)
+        v = rng.normal(size=(30, 2))
+        out = gaussian_filter_exact(v, feats)
+        assert np.allclose(out, gaussian_filter_bruteforce(v, feats.coords), rtol=1e-10, atol=1e-10)
 
 
 class TestLatticeStructure:
@@ -166,7 +209,7 @@ class TestLatticeStructure:
         assert len(np.unique(lat.vertex_keys, axis=0)) == lat.num_vertices
 
     def test_wide_coordinate_fallback_keeps_invariants(self):
-        """Huge feature magnitudes overflow packed keys; dict path must hold."""
+        """Huge feature magnitudes overflow packed keys; the row lookup must hold."""
         rng = np.random.default_rng(97)
         lat = PermutohedralLattice(FeaturePoints(rng.normal(scale=3e8, size=(40, 5))))
         b = lat.barycentric
@@ -202,6 +245,22 @@ class TestLatticeStructure:
         assert np.array_equal(lat.offsets, offsets)
         assert np.array_equal(lat.barycentric, bary)
         assert np.array_equal(lat.vertex_keys, keys)
+        assert np.array_equal(lat.blur_n1, n1)
+        assert np.array_equal(lat.blur_n2, n2)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(edge_points())
+    def test_blur_neighbours_match_direct_construction(self, pts):
+        """Packed neighbours come from uniq +- a constant per direction with
+        no validity mask; wide keys from a sorted row lookup. Both must give
+        the direct construction's neighbour ids, field edges included."""
+        lat = PermutohedralLattice(FeaturePoints(pts))
+        offsets, bary, keys, n1, n2 = lattice_embed_reference(pts)
+        span = keys.max(axis=0) - keys.min(axis=0)
+        event("wide keys" if not lat._packable else
+              "a field exactly full" if (span & (span + 1) == 0).any() else "packed")
+        assert np.array_equal(lat.vertex_keys, keys)
+        assert np.array_equal(lat.offsets, offsets)
         assert np.array_equal(lat.blur_n1, n1)
         assert np.array_equal(lat.blur_n2, n2)
 

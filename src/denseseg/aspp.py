@@ -86,10 +86,6 @@ class AsppConfig:
     def c_out(self) -> int:
         return self.branches[0].c_out
 
-    @property
-    def rates(self) -> tuple[int, ...]:
-        return tuple(b.rate.r for b in self.branches)
-
 
 def aspp_forward(fm: FeatureMap, cfg: AsppConfig) -> FeatureMap:
     """Run every branch on the same map and sum the branch scores."""
@@ -128,28 +124,21 @@ def rescale_pyramid(image, scales: Sequence[float]) -> list:
     for s in scales:
         if not np.isfinite(s) or s <= 0:
             raise ValueError(f"scales must be positive, got {s!r}")
-    if isinstance(image, FeatureMap):
-        data = image.data.astype(np.float64)
-        out = []
-        for s in scales:
-            if s == 1.0:
-                out.append(image)
-                continue
-            h, w = _scaled_size(image.height, s), _scaled_size(image.width, s)
-            out.append(FeatureMap(_resample_bilinear(data, h, w).astype(np.float32)))
-        return out
-    if isinstance(image, RgbImage):
-        data = image.data.astype(np.float64)
-        out = []
-        for s in scales:
-            if s == 1.0:
-                out.append(image)
-                continue
-            h, w = _scaled_size(image.height, s), _scaled_size(image.width, s)
-            resampled = _resample_bilinear(data, h, w)
+    if not isinstance(image, (FeatureMap, RgbImage)):
+        raise TypeError(f"expected FeatureMap or RgbImage, got {type(image).__name__}")
+    data = image.data.astype(np.float64)
+    out = []
+    for s in scales:
+        if s == 1.0:
+            out.append(image)
+            continue
+        h, w = _scaled_size(image.height, s), _scaled_size(image.width, s)
+        resampled = _resample_bilinear(data, h, w)
+        if isinstance(image, FeatureMap):
+            out.append(FeatureMap(resampled.astype(np.float32)))
+        else:
             out.append(RgbImage(np.clip(np.floor(resampled + 0.5), 0, 255).astype(np.uint8)))
-        return out
-    raise TypeError(f"expected FeatureMap or RgbImage, got {type(image).__name__}")
+    return out
 
 
 def random_config(
@@ -178,42 +167,3 @@ def random_config(
             kernels.append(ConvKernel(w.astype(np.float32)))
         branches.append(AsppBranch(AtrousRate(int(r)), tuple(kernels)))
     return AsppConfig(tuple(branches))
-
-
-def config_from_text(text: str) -> AsppConfig:
-    """Parse the plain-text pyramid description used by the CLI.
-
-    Recognized `key = value` lines: rates (comma-separated ints, required),
-    in_channels (required), labels (required), hidden (default 16),
-    kernel (default 3), seed (default 0). Blank lines and #-comments skipped.
-    """
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"pyramid config line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in fields:
-            raise ValueError(f"pyramid config line {lineno}: duplicate key {key!r}")
-        fields[key] = value
-    known = {"rates", "in_channels", "labels", "hidden", "kernel", "seed"}
-    unknown = set(fields) - known
-    if unknown:
-        raise ValueError(f"pyramid config: unknown keys {sorted(unknown)}")
-    for required in ("rates", "in_channels", "labels"):
-        if required not in fields:
-            raise ValueError(f"pyramid config: missing required key {required!r}")
-    try:
-        rates = [int(tok) for tok in fields["rates"].split(",") if tok.strip()]
-        c_in = int(fields["in_channels"])
-        labels = int(fields["labels"])
-        hidden = int(fields.get("hidden", "16"))
-        kernel_size = int(fields.get("kernel", "3"))
-        seed = int(fields.get("seed", "0"))
-    except ValueError as exc:
-        raise ValueError(f"pyramid config: bad integer value ({exc})") from None
-    if not rates:
-        raise ValueError("pyramid config: rates list is empty")
-    return random_config(rates, c_in, hidden, labels, kernel_size=kernel_size, seed=seed)

@@ -9,7 +9,7 @@ on each, and reinterlaces. Rate 1 reduces both to standard correlation.
 Accumulation-order contract (needed for bit-exact cross-checks): per output
 position, tap contributions are added in row-major tap order, each contribution
 a float64 product reduced over input channels; the float64 accumulator is cast
-to float32 once at the end. 1-D filtering stays in float64.
+to float32 once at the end.
 """
 
 from __future__ import annotations
@@ -82,35 +82,6 @@ def effective_kernel_size(k: int, rate: AtrousRate | int) -> int:
     return int(k) + (int(k) - 1) * (r - 1)
 
 
-def atrous_conv_1d(x, w, rate: AtrousRate | int) -> np.ndarray:
-    """Valid-region rate-r correlation: y[i] = sum_k x[i + r*k] * w[k].
-
-    Taps are not mirrored and the first tap sits at offset zero, so rate 1 is
-    exactly standard valid correlation and a single-tap filter is a pointwise
-    scale at any rate. Output length is len(x) - r*(len(w) - 1).
-    """
-    r = _rate_value(rate)
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if x.ndim != 1 or w.ndim != 1:
-        raise ShapeError("signal and filter must be 1-d")
-    if len(w) < 1:
-        raise ShapeError("filter must have at least one tap")
-    if not (np.isfinite(x).all() and np.isfinite(w).all()):
-        raise ValueError("signal and filter must be finite")
-    span = r * (len(w) - 1)
-    out_len = len(x) - span
-    if out_len < 1:
-        raise ShapeError(
-            f"signal of length {len(x)} too short for {len(w)} taps at rate {r} "
-            f"(needs at least {span + 1})"
-        )
-    out = np.zeros(out_len, dtype=np.float64)
-    for k in range(len(w)):
-        out += w[k] * x[k * r : k * r + out_len]
-    return out
-
-
 def _conv2d_accumulate(x: np.ndarray, w: np.ndarray, r: int, padding: bool) -> np.ndarray:
     """Shared rate-r correlation core on float64 arrays; returns float64.
 
@@ -180,9 +151,6 @@ def atrous_conv_2d_subsampled(
     w = kernel.weights.astype(np.float64)
     kh, kw = kernel.k_h, kernel.k_w
     h, w_in = fm.height, fm.width
-    if r == 1:
-        out = _conv2d_accumulate(x, w, 1, padding)
-        return FeatureMap(out.astype(np.float32))
     if padding:
         out_h, out_w = h, w_in
     else:

@@ -147,7 +147,6 @@ def cmd_refine(args) -> int:
         _params_from_args(args),
         iters=args.iters,
         backend=args.backend,
-        threads=args.threads,
     )
     write_pgm(labels, args.out)
     if args.q_out:
@@ -218,7 +217,6 @@ def cmd_tune(args) -> int:
         ranges=ranges,
         iters=args.iters,
         backend=args.backend,
-        threads=args.threads,
         report=report,
     )
     lines = ["stage,w1,sigma_alpha,sigma_beta,mean_miou"]
@@ -305,7 +303,6 @@ def cmd_bench(args) -> int:
         image,
         iters=args.iters,
         backend="lattice",
-        threads=args.threads,
         timer=timer,
     )
     total = time.perf_counter() - start

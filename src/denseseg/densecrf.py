@@ -224,8 +224,11 @@ def _bilateral_row_masses(feats: FeaturePoints) -> np.ndarray:
     The kernel is symmetric, so a strip of 256 rows meets only its own and
     later columns and credits both. Exponents are clamped at ln(tiny) + 1,
     out of exp's slow subnormal range; each mass moves by at most n * e * tiny.
+    Features are centred on their midrange first, as in gaussian_filter_exact,
+    so a common offset does not cancel the distances out of the identity.
     """
-    f, tile = feats.coords, 256
+    low, high = feats.coords.min(axis=0), feats.coords.max(axis=0)
+    f, tile = feats.coords - (low / 2 + high / 2), 256
     sq = np.einsum("ij,ij->i", f, f)
     mass = np.zeros(feats.n)
     for lo in range(0, feats.n, tile):
@@ -378,7 +381,8 @@ def mean_field_step(
     """One synchronous belief update; every pixel reads only the old state.
 
     Runs run_inference's update, so iterating it from init_state reproduces
-    run_inference's beliefs. `threads` is accepted and has no effect.
+    run_inference's beliefs. `threads` has no effect; it is accepted because
+    the benchmark's traced replay (perfbench/workloads.py) passes it.
     """
     if state.q.shape != unary.theta.shape:
         raise ShapeError(
@@ -400,7 +404,6 @@ def run_inference(
     params: PairwiseParams | None = None,
     iters: int = DEFAULT_ITERATIONS,
     backend: str = "exact",
-    threads: int = 1,
     timer: dict | None = None,
     filters: PairwiseFilters | None = None,
 ) -> tuple[MeanFieldState, LabelMap]:
@@ -409,7 +412,6 @@ def run_inference(
     iters=0 returns the posterior itself, so the label map degenerates to
     the unary argmax. `filters`, when given, must have been built for this
     image, backend and kernel scales; otherwise they are built here.
-    `threads` is accepted and has no effect.
     """
     batch = [params or PairwiseParams()]
     state = MeanFieldState(next(_infer(unary, image, batch, iters, backend, filters, timer)))
@@ -543,7 +545,6 @@ def grid_search(
     ranges: SearchRanges | None = None,
     iters: int = DEFAULT_ITERATIONS,
     backend: str = "lattice",
-    threads: int = 1,
     report: list | None = None,
 ) -> PairwiseParams:
     """Two-stage parameter search scored by mean IOU over the cases.
@@ -558,7 +559,7 @@ def grid_search(
     stage builds them once per case and (sigma_alpha, sigma_beta) pair and
     runs every w1 of that pair through them in as few batched runs as
     BATCH_MAX_ELEMENTS allows. sigma_gamma is fixed, so the spatial kernel is
-    built once per image size for the whole search. `threads` has no effect.
+    built once per image size for the whole search.
     """
     cases = list(cases)
     if not cases:

@@ -341,29 +341,3 @@ def scene_from_text(text: str) -> SceneSpec:
         return SceneSpec(shapes=tuple(shapes), **scalars)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid scene: {exc}") from exc
-
-
-def scene_to_text(spec: SceneSpec) -> str:
-    """Serialize a spec in the format scene_from_text reads."""
-    lines = [
-        f"height = {spec.height}",
-        f"width = {spec.width}",
-        "background = {},{},{}".format(*spec.background),
-        f"blur = {spec.blur}",
-        f"noise_sigma = {spec.noise_sigma!r}",
-        f"seed = {spec.seed}",
-    ]
-    for shape in spec.shapes:
-        color = "{},{},{}".format(*shape.color)
-        if isinstance(shape, Rect):
-            lines.append(
-                f"rect = label:{shape.label} top:{shape.top} left:{shape.left} "
-                f"height:{shape.height} width:{shape.width} "
-                f"color:{color} jitter:{shape.jitter!r}"
-            )
-        else:
-            lines.append(
-                f"disk = label:{shape.label} row:{shape.row} col:{shape.col} "
-                f"radius:{shape.radius!r} color:{color} jitter:{shape.jitter!r}"
-            )
-    return "\n".join(lines) + "\n"

@@ -9,7 +9,6 @@ from denseseg.aspp import (
     AsppBranch,
     AsppConfig,
     aspp_forward,
-    config_from_text,
     multiscale_max_fuse,
     random_config,
     rescale_pyramid,
@@ -225,43 +224,14 @@ class TestRescalePyramid:
             rescale_pyramid(np.zeros((3, 3)), [1.0])
 
 
-class TestConfigText:
-    def test_parse_and_determinism(self):
-        text = """
-        # four wide-rate branches
-        rates = 6, 12, 18, 24
-        in_channels = 3
-        labels = 5
-        hidden = 8
-        kernel = 3
-        seed = 9
-        """
-        cfg1 = config_from_text(text)
-        cfg2 = config_from_text(text)
-        assert cfg1.rates == (6, 12, 18, 24)
+class TestRandomConfig:
+    def test_same_seed_same_weights(self):
+        """deeplab_front rebuilds its pyramid from a seed on every run."""
+        cfg1 = random_config([6, 12, 18, 24], c_in=3, hidden=8, labels=5, seed=9)
+        cfg2 = random_config([6, 12, 18, 24], c_in=3, hidden=8, labels=5, seed=9)
+        assert tuple(b.rate.r for b in cfg1.branches) == (6, 12, 18, 24)
         assert cfg1.c_in == 3
         assert cfg1.c_out == 5
         for b1, b2 in zip(cfg1.branches, cfg2.branches):
             for k1, k2 in zip(b1.kernels, b2.kernels):
                 assert np.array_equal(k1.weights, k2.weights)
-
-    def test_defaults_applied(self):
-        cfg = config_from_text("rates = 2\nin_channels = 1\nlabels = 2\n")
-        assert cfg.branches[0].kernels[0].k_h == 3
-        assert cfg.branches[0].kernels[0].c_out == 16
-
-    def test_missing_required_key(self):
-        with pytest.raises(ValueError):
-            config_from_text("rates = 2\nlabels = 2\n")
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            config_from_text("rates = 2\nin_channels = 1\nlabels = 2\nwat = 1\n")
-
-    def test_bad_integer_rejected(self):
-        with pytest.raises(ValueError):
-            config_from_text("rates = two\nin_channels = 1\nlabels = 2\n")
-
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(ValueError):
-            config_from_text("rates = 2\nrates = 3\nin_channels = 1\nlabels = 2\n")

@@ -9,7 +9,6 @@ import scipy.ndimage
 from denseseg.atrous import (
     AtrousRate,
     ConvKernel,
-    atrous_conv_1d,
     atrous_conv_2d_holes,
     atrous_conv_2d_subsampled,
     effective_kernel_size,
@@ -63,41 +62,6 @@ class TestEffectiveKernelSize:
             effective_kernel_size(0, 1)
         with pytest.raises(ValueError):
             effective_kernel_size(3, 0)
-
-
-class TestConv1d:
-    def test_two_tap_rate_two(self):
-        """Hand evaluation: y[i] = x[i] + x[i+2] over the valid range."""
-        y = atrous_conv_1d([1, 2, 3, 4, 5, 6], [1, 1], 2)
-        assert y.tolist() == [4.0, 6.0, 8.0, 10.0]
-
-    def test_single_tap_is_pointwise_scale(self):
-        """One tap spans one sample at any rate, so the output is w0 * x."""
-        x = np.arange(10.0)
-        for r in (1, 5):
-            assert atrous_conv_1d(x, [3.0], r).tolist() == (3.0 * x).tolist()
-
-    def test_rate_one_matches_numpy_valid_correlation(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=37)
-        w = rng.normal(size=5)
-        expected = np.correlate(x, w, mode="valid")
-        assert np.allclose(atrous_conv_1d(x, w, 1), expected, rtol=1e-12, atol=1e-12)
-
-    def test_output_length(self):
-        assert len(atrous_conv_1d(np.zeros(20), np.zeros(3), 4)) == 20 - 4 * 2
-
-    def test_too_short_signal_raises(self):
-        with pytest.raises(ShapeError):
-            atrous_conv_1d([1.0, 2.0], [1.0, 1.0], 2)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(12)
-        x, z = rng.normal(size=30), rng.normal(size=30)
-        w = rng.normal(size=4)
-        lhs = atrous_conv_1d(2.5 * x - 1.5 * z, w, 3)
-        rhs = 2.5 * atrous_conv_1d(x, w, 3) - 1.5 * atrous_conv_1d(z, w, 3)
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 class TestConv2dHoles:

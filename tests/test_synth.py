@@ -15,7 +15,6 @@ from denseseg.synth import (
     make_instance,
     render_scene,
     scene_from_text,
-    scene_to_text,
 )
 
 from oracles import box_blur_bruteforce
@@ -284,9 +283,30 @@ class TestMakeInstance:
 
 
 class TestSceneText:
-    def test_round_trip(self):
-        spec = demo_spec(blur=2, noise_sigma=0.8)
-        assert scene_from_text(scene_to_text(spec)) == spec
+    def test_every_key_parses_to_spec(self):
+        text = (
+            "height = 24\n"
+            "width = 30\n"
+            "background = 40,41,42\n"
+            "blur = 2\n"
+            "noise_sigma = 0.8\n"
+            "seed = 5\n"
+            "rect = label:1 top:2 left:3 height:10 width:12 color:200,60,60 jitter:2.5\n"
+            "disk = label:2 row:15 col:16 radius:6.5 color:60,200,60 jitter:0.25\n"
+        )
+        want = SceneSpec(
+            height=24,
+            width=30,
+            shapes=(
+                Rect(label=1, top=2, left=3, height=10, width=12, color=RED, jitter=2.5),
+                Disk(label=2, row=15, col=16, radius=6.5, color=GREEN, jitter=0.25),
+            ),
+            background=(40, 41, 42),
+            blur=2,
+            noise_sigma=0.8,
+            seed=5,
+        )
+        assert scene_from_text(text) == want
 
     def test_minimal_text_uses_defaults(self):
         spec = scene_from_text("height = 4\nwidth = 6\n")

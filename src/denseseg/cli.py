@@ -134,12 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_refine(args) -> int:
     fm = read_tensor(args.unary)
     image = read_ppm(args.image)
-    fm = upsample_bilinear(fm, args.factor)
-    if (fm.height, fm.width) != (image.height, image.width):
+    # check the size before upsampling, so a wrong factor allocates nothing
+    height, width = fm.height * args.factor, fm.width * args.factor
+    if args.factor >= 1 and (height, width) != (image.height, image.width):
         raise ShapeError(
-            f"upsampled unary is {fm.height}x{fm.width} but the image is "
+            f"upsampled unary is {height}x{width} but the image is "
             f"{image.height}x{image.width}; check --factor"
         )
+    fm = upsample_bilinear(fm, args.factor)
     unary = UnaryField(np.asarray(fm.data, dtype=np.float64))
     state, labels = run_inference(
         unary,

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .core import LabelMap, RgbImage, ShapeError
-from .hdfilter import _LOG_TINY, FeaturePoints, PermutohedralLattice, gaussian_filter_exact
+from .hdfilter import FeaturePoints, PermutohedralLattice, gaussian_filter_exact
 from .metrics import confusion, mean_iou
 
 PROB_CLAMP = 1e-20
@@ -218,27 +218,6 @@ def _spatial_row_masses(height: int, width: int, sigma_gamma: float) -> np.ndarr
     return np.outer(axis_mass(height), axis_mass(width)).reshape(-1)
 
 
-def _bilateral_row_masses(feats: FeaturePoints) -> np.ndarray:
-    """Exact per-point kernel sums, as gaussian_filter_exact on all-ones values.
-
-    The kernel is symmetric, so a strip of 256 rows meets only its own and
-    later columns and credits both. Exponents are clamped at ln(tiny) + 1,
-    out of exp's slow subnormal range; each mass moves by at most n * e * tiny.
-    Features are centred on their midrange first, as in gaussian_filter_exact,
-    so a common offset does not cancel the distances out of the identity.
-    """
-    low, high = feats.coords.min(axis=0), feats.coords.max(axis=0)
-    f, tile = feats.coords - (low / 2 + high / 2), 256
-    sq = np.einsum("ij,ij->i", f, f)
-    mass = np.zeros(feats.n)
-    for lo in range(0, feats.n, tile):
-        d2 = sq[lo:lo + tile, None] + sq[None, lo:] - 2.0 * (f[lo:lo + tile] @ f[lo:].T)
-        kernel = np.exp(np.maximum(-0.5 * np.maximum(d2, 0.0), _LOG_TINY + 1.0))
-        mass[lo:lo + tile] += kernel.sum(axis=1)
-        mass[lo + tile:] += kernel[:, tile:].sum(axis=0)
-    return mass
-
-
 class _KernelFilter:
     """One unit Gaussian kernel over fixed feature points, on one backend.
 
@@ -309,9 +288,8 @@ class PairwiseFilters:
         start = time.perf_counter()
         bilateral = bilateral_features(image, params.sigma_alpha, params.sigma_beta)
         small = backend == "lattice" and n <= EXACT_MASS_MAX_PIXELS
-        self.filter_bilateral = _KernelFilter(
-            bilateral, backend, partial(_bilateral_row_masses, bilateral) if small else None
-        )
+        true_mass = partial(gaussian_filter_exact, np.ones(n), bilateral) if small else None
+        self.filter_bilateral = _KernelFilter(bilateral, backend, true_mass)
         cache = {} if spatial_cache is None else spatial_cache
         key = (h, w, params.sigma_gamma, backend)
         if key not in cache:

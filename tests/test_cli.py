@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from denseseg import cli
 from denseseg.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, bench_scene, main
 from denseseg.core import LabelMap, read_pgm, read_tensor, write_pgm
 from denseseg.densecrf import run_inference
@@ -108,6 +109,29 @@ class TestRefine:
                      "--out", tmp_path / "x.pgm", "--factor", 2)
         assert rc == EXIT_VALIDATION
         assert "--factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factor", [2, 10**6])
+    def test_factor_checked_before_upsampling(self, tmp_path, capsys, monkeypatch, factor):
+        """A factor that misses the image size exits 2 before any upsampling:
+        a large one would otherwise allocate its whole upsampled unary."""
+        def refuse(*args):
+            raise AssertionError("upsampled before the size check")
+
+        monkeypatch.setattr(cli, "upsample_bilinear", refuse)
+        paths = synth_files(tmp_path)
+        rc = run_cli("refine", "--unary", paths["unary"], "--image", paths["image"],
+                     "--out", tmp_path / "x.pgm", "--factor", factor)
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--factor" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("factor", [0, -3])
+    def test_non_positive_factor_exits_2(self, tmp_path, capsys, factor):
+        paths = synth_files(tmp_path)
+        rc = run_cli("refine", "--unary", paths["unary"], "--image", paths["image"],
+                     "--out", tmp_path / "x.pgm", "--factor", factor)
+        assert rc == EXIT_VALIDATION
+        assert "positive integer" in capsys.readouterr().err
 
     def test_exact_backend_capped_at_4096_pixels(self, tmp_path, capsys):
         """65x64 exceeds the exact backend's cap and exits 2 naming the

@@ -19,7 +19,6 @@ from denseseg.densecrf import (
     PairwiseParams,
     SearchRanges,
     UnaryField,
-    _bilateral_row_masses,
     _infer,
     _refine_axis,
     bilateral_features,
@@ -304,11 +303,11 @@ class TestFilterCache:
     def test_lattice_refusal_comes_before_the_mass_pass(self, monkeypatch):
         calls = []
 
-        def masses(feats):
+        def masses(values, feats):
             calls.append(feats)
             return np.ones(feats.n)
 
-        monkeypatch.setattr(densecrf, "_bilateral_row_masses", masses)
+        monkeypatch.setattr(densecrf, "gaussian_filter_exact", masses)
         image = random_image(np.random.default_rng(3), 8, 8)
         with pytest.raises(ValueError, match="wider kernels"):
             PairwiseFilters(image, PairwiseParams(sigma_beta=1e-12), "lattice")
@@ -850,27 +849,36 @@ def quadrant_case(height, width, seed, labels=5):
 
 
 class TestBilateralRowMasses:
-    @pytest.mark.parametrize("n", [1, 100, 700])
-    def test_matches_all_pairs_filter_of_ones(self, n):
-        """One point, fewer than one 256-row tile, and a partial last tile."""
-        rng = np.random.default_rng(n)
-        feats = FeaturePoints(rng.normal(0.0, 2.0, (n, 5)))
-        want = gaussian_filter_exact(np.ones(n), feats)
-        got = _bilateral_row_masses(feats)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    """The lattice backend's exact bilateral masses below EXACT_MASS_MAX_PIXELS:
+    gaussian_filter_exact on all-ones values."""
 
     def test_far_points_keep_only_their_self_mass(self):
         feats = FeaturePoints(np.array([[0.0] * 5, [60.0] * 5, [-60.0] * 5]))
-        np.testing.assert_allclose(_bilateral_row_masses(feats), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(gaussian_filter_exact(np.ones(3), feats), 1.0, rtol=1e-12)
 
     def test_constant_colour_far_from_origin_does_not_cancel(self):
         """Colours of 128 / 1e-7 put every point about 1e9 from the origin;
-        uncentred, the inner-product identity loses the position distances
-        and the masses come out 6-16x too large."""
+        the position distances must survive next to them."""
         image = RgbImage(np.full((12, 12, 3), 128, np.uint8))
         feats = bilateral_features(image, 2.0, 1e-7)
         want = gaussian_filter_bruteforce(np.ones(feats.n), feats.coords)
-        np.testing.assert_allclose(_bilateral_row_masses(feats), want, rtol=1e-12, atol=0.0)
+        got = gaussian_filter_exact(np.ones(feats.n), feats)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_lattice_gain_exact_on_two_colour_image(self):
+        """Colours 0 and 255 over sigma_beta = 1e-7 sit at 0 and 2.55e9: the
+        float32 gain equals the one from brute-force masses, bit for bit."""
+        pixels = np.zeros((12, 12, 3), np.uint8)
+        pixels[:, 6:] = 255
+        image = RgbImage(pixels)
+        feats = bilateral_features(image, 2.0, 1e-7)
+        lattice_mass = PermutohedralLattice(feats).filter(np.ones(feats.n, np.float32))
+        tiny = np.finfo(np.float32).tiny
+        want = (gaussian_filter_bruteforce(np.ones(feats.n), feats.coords)
+                / np.maximum(lattice_mass.astype(np.float64), tiny)).astype(np.float32)
+        params = PairwiseParams(sigma_alpha=2.0, sigma_beta=1e-7)
+        got = PairwiseFilters(image, params, "lattice").filter_bilateral.gain
+        assert np.array_equal(got[:, 0], want)
 
     @pytest.mark.parametrize("sigmas", [(80.0, 4.0), (120.0, 4.0), (30.0, 3.0), (100.0, 6.0)])
     def test_lattice_gain_unchanged_on_quadrant_scene(self, sigmas):
@@ -992,7 +1000,7 @@ class TestBlockedUpdate:
                 assert got.shape == z.shape and got.dtype == dtype
                 assert np.array_equal(got, want), n
 
-    def test_module_block_size(self):
+    def test_module_block_points(self):
         """The unpatched block size on both sides of two block edges."""
         block = densecrf.UPDATE_BLOCK_POINTS
         rng = np.random.default_rng(7)

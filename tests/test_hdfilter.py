@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from denseseg import hdfilter
 from denseseg.core import RgbImage, ShapeError
 from denseseg.densecrf import bilateral_features
 from denseseg.hdfilter import (
@@ -108,13 +110,17 @@ class TestExactFilter:
         with pytest.raises(ShapeError):
             gaussian_filter_exact(np.zeros((4, 1)), f)
 
-    def test_blocked_evaluation_matches_unblocked(self):
-        rng = np.random.default_rng(83)
-        f = FeaturePoints(rng.normal(size=(50, 3)))
-        v = rng.normal(size=(50, 2))
-        a = gaussian_filter_exact(v, f, block_size=7)
-        b = gaussian_filter_exact(v, f, block_size=4096)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 131])
+    def test_matches_bruteforce_across_strip_edges(self, n):
+        """One point, one strip less one row, exactly one strip, one row
+        over, and a partial third strip: every pair a strip credits to a
+        later row lands there once. Positive values keep rtol meaningful."""
+        assert hdfilter.EXACT_STRIP_ROWS == 64
+        rng = np.random.default_rng(n)
+        f = rng.normal(0.0, 2.0, (n, 5))
+        v = np.column_stack([np.ones(n), rng.uniform(0.5, 1.5, (n, 2))])
+        out = gaussian_filter_exact(v, FeaturePoints(f))
+        np.testing.assert_allclose(out, gaussian_filter_bruteforce(v, f), rtol=1e-12, atol=0.0)
 
     def test_subnormal_kernel_entries_dropped(self):
         """Squared distances straddle 2 ln(1/tiny), where exp turns subnormal.
@@ -123,26 +129,36 @@ class TestExactFilter:
         tiny = np.finfo(np.float64).tiny
         rng = np.random.default_rng(84)
         f = rng.uniform(0.0, 60.0, size=(400, 2))
-        c = f - (f.min(axis=0) / 2 + f.max(axis=0) / 2)
-        sq = np.einsum("ij,ij->i", c, c)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (c @ c.T), 0.0)
-        np.fill_diagonal(d2, 0.0)
+        d2 = cdist(f, f, "sqeuclidean")
         kernel = np.exp(-0.5 * d2)
         assert ((kernel > 0.0) & (kernel < tiny)).sum() > 100
         assert (d2 < -2.0 * math.log(tiny)).mean() > 0.5
 
+        def unflushed(v):
+            """The same symmetric strips, summed in the same order."""
+            strip, out = hdfilter.EXACT_STRIP_ROWS, np.zeros_like(v)
+            for lo in range(0, len(v), strip):
+                hi = lo + strip
+                k = np.exp(-0.5 * cdist(f[lo:hi], f[lo:], "sqeuclidean"))
+                out[lo:hi] += k @ v[lo:]
+                out[hi:] += k[:, hi - lo:].T @ v[lo:hi]
+            return out
+
         ones = np.ones((400, 1))
-        assert np.array_equal(gaussian_filter_exact(ones, FeaturePoints(f)), kernel @ ones)
+        assert np.array_equal(gaussian_filter_exact(ones, FeaturePoints(f)), unflushed(ones))
         v = rng.normal(size=(400, 3))
-        diff = np.abs(gaussian_filter_exact(v, FeaturePoints(f)) - kernel @ v).max()
+        diff = np.abs(gaussian_filter_exact(v, FeaturePoints(f)) - unflushed(v)).max()
         assert diff <= 400 * tiny * np.abs(v).max()
 
     def test_huge_coordinates_keep_every_term(self):
-        """Centring keeps the identity from overflowing (0, 1e200, 2e200)
-        or cancelling (1e8, 1e8 + 1); the midrange centre cannot overflow
-        where the mean would (two points at 1.5e308)."""
+        """Direct differences lose no term: distances whose squares
+        overflow give 0 entries while coincident points keep theirs
+        (0, 1e200, 2e200 and 0, 2e200, 2e200), a common offset cancels
+        nothing (1e8, 1e8 + 1), and coincident points at the float limit
+        keep their pair (1.5e308)."""
         cases = (
             ([[0.0], [1e200], [2e200]], [1.0, 1.0, 1.0]),
+            ([[0.0], [2e200], [2e200]], [1.0, 2.0, 2.0]),
             ([[1e8], [1e8 + 1.0]], [1.0 + math.exp(-0.5)] * 2),
             ([[1.5e308, -3.0], [1.5e308, -3.0]], [2.0, 2.0]),
         )
@@ -159,6 +175,17 @@ class TestExactFilter:
         v = rng.normal(size=(30, 2))
         out = gaussian_filter_exact(v, feats)
         assert np.allclose(out, gaussian_filter_bruteforce(v, feats.coords), rtol=1e-10, atol=1e-10)
+
+    def test_two_colours_at_tiny_colour_width(self):
+        """Colours 0 and 255 over sigma_beta = 1e-7 put the halves at 0 and
+        2.55e9; the position term must survive on both sides."""
+        rng = np.random.default_rng(86)
+        pixels = np.zeros((12, 12, 3), np.uint8)
+        pixels[:, 6:] = 255
+        feats = bilateral_features(RgbImage(pixels), 2.0, 1e-7)
+        v = np.column_stack([np.ones(feats.n), rng.uniform(0.5, 1.5, feats.n)])
+        want = gaussian_filter_bruteforce(v, feats.coords)
+        np.testing.assert_allclose(gaussian_filter_exact(v, feats), want, rtol=1e-12, atol=0.0)
 
 
 class TestLatticeStructure:

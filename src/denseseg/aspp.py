@@ -21,7 +21,7 @@ from denseseg.atrous import (
     _resample_bilinear,
     atrous_conv_2d_holes,
 )
-from denseseg.core import FeatureMap, RgbImage, ShapeError
+from denseseg.core import FeatureMap, ShapeError
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,6 @@ class AsppBranch:
     kernels: tuple[ConvKernel, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rate, AtrousRate):
-            object.__setattr__(self, "rate", AtrousRate(self.rate))
         kernels = tuple(self.kernels)
         if len(kernels) != 3:
             raise ValueError(f"branch chain must have exactly 3 stages, got {len(kernels)}")
@@ -115,29 +113,24 @@ def _scaled_size(n: int, scale: float) -> int:
     return max(1, int(np.floor(n * scale + 0.5)))
 
 
-def rescale_pyramid(image, scales: Sequence[float]) -> list:
-    """Bilinearly resample an image or map to each scale (align-corners).
+def rescale_pyramid(fm: FeatureMap, scales: Sequence[float]) -> list[FeatureMap]:
+    """Bilinearly resample a map to each scale (align-corners).
 
-    Returns a list matching the input type. Scale 1.0 returns the input
-    object unchanged. Color images are rounded half-up back to bytes.
+    Scale 1.0 returns the input map unchanged.
     """
     for s in scales:
         if not np.isfinite(s) or s <= 0:
             raise ValueError(f"scales must be positive, got {s!r}")
-    if not isinstance(image, (FeatureMap, RgbImage)):
-        raise TypeError(f"expected FeatureMap or RgbImage, got {type(image).__name__}")
-    data = image.data.astype(np.float64)
+    if not isinstance(fm, FeatureMap):
+        raise TypeError(f"expected FeatureMap, got {type(fm).__name__}")
+    data = fm.data.astype(np.float64)
     out = []
     for s in scales:
         if s == 1.0:
-            out.append(image)
+            out.append(fm)
             continue
-        h, w = _scaled_size(image.height, s), _scaled_size(image.width, s)
-        resampled = _resample_bilinear(data, h, w)
-        if isinstance(image, FeatureMap):
-            out.append(FeatureMap(resampled.astype(np.float32)))
-        else:
-            out.append(RgbImage(np.clip(np.floor(resampled + 0.5), 0, 255).astype(np.uint8)))
+        h, w = _scaled_size(fm.height, s), _scaled_size(fm.width, s)
+        out.append(FeatureMap(_resample_bilinear(data, h, w).astype(np.float32)))
     return out
 
 

@@ -82,16 +82,28 @@ def effective_kernel_size(k: int, rate: AtrousRate | int) -> int:
     return int(k) + (int(k) - 1) * (r - 1)
 
 
+def _output_size(h: int, w: int, kh: int, kw: int, r: int, padding: bool) -> tuple[int, int]:
+    """Output grid of a rate-r kh x kw correlation over an h x w input: the
+    input grid with padding, else only the fully covered positions."""
+    if padding:
+        return h, w
+    out_h, out_w = h - r * (kh - 1), w - r * (kw - 1)
+    if out_h < 1 or out_w < 1:
+        raise ShapeError(
+            f"input {h}x{w} too small for {kh}x{kw} taps at rate {r} without padding"
+        )
+    return out_h, out_w
+
+
 def _conv2d_accumulate(x: np.ndarray, w: np.ndarray, r: int, padding: bool) -> np.ndarray:
     """Shared rate-r correlation core on float64 arrays; returns float64.
 
-    With padding, the output grid matches the input and the tap anchor is the
-    kernel center (k-1)//2 per axis, so even kernels anchor one short of the
-    middle and the extra zero padding lands after the data. Without padding,
-    only fully covered positions are produced.
+    With padding, the tap anchor is the kernel center (k-1)//2 per axis, so
+    even kernels anchor one short of the middle and the extra zero padding
+    lands after the data.
     """
     kh, kw, c_in, c_out = w.shape
-    h, w_in = x.shape[:2]
+    out_h, out_w = _output_size(x.shape[0], x.shape[1], kh, kw, r, padding)
     if padding:
         anchor_h, anchor_w = (kh - 1) // 2, (kw - 1) // 2
         x = np.pad(
@@ -102,13 +114,6 @@ def _conv2d_accumulate(x: np.ndarray, w: np.ndarray, r: int, padding: bool) -> n
                 (0, 0),
             ),
         )
-        out_h, out_w = h, w_in
-    else:
-        out_h, out_w = h - r * (kh - 1), w_in - r * (kw - 1)
-        if out_h < 1 or out_w < 1:
-            raise ShapeError(
-                f"input {h}x{w_in} too small for {kh}x{kw} taps at rate {r} without padding"
-            )
     acc = np.zeros((out_h * out_w, c_out), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
@@ -150,18 +155,10 @@ def atrous_conv_2d_subsampled(
     x = fm.data.astype(np.float64)
     w = kernel.weights.astype(np.float64)
     kh, kw = kernel.k_h, kernel.k_w
-    h, w_in = fm.height, fm.width
-    if padding:
-        out_h, out_w = h, w_in
-    else:
-        out_h, out_w = h - r * (kh - 1), w_in - r * (kw - 1)
-        if out_h < 1 or out_w < 1:
-            raise ShapeError(
-                f"input {h}x{w_in} too small for {kh}x{kw} taps at rate {r} without padding"
-            )
+    out_h, out_w = _output_size(fm.height, fm.width, kh, kw, r, padding)
     out = np.zeros((out_h, out_w, kernel.c_out), dtype=np.float64)
-    for py in range(min(r, h)):
-        for px in range(min(r, w_in)):
+    for py in range(min(r, fm.height)):
+        for px in range(min(r, fm.width)):
             phase = np.ascontiguousarray(x[py::r, px::r, :])
             if not padding and (phase.shape[0] < kh or phase.shape[1] < kw):
                 continue  # this phase covers no valid output position

@@ -59,8 +59,6 @@ def _params_from_args(args) -> PairwiseParams:
 def _add_common(parser) -> None:
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed override where the command draws randomness")
 
 
 def _add_crf_flags(parser) -> None:
@@ -119,6 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unary channel count (default: scene labels)")
     p.add_argument("--factor", type=int, default=1,
                    help="write the unary at 1/factor resolution")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the scene file's seed")
     _add_common(p)
 
     p = sub.add_parser("bench", help="time lattice-backend inference per stage")
@@ -126,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=375)
     p.add_argument("--labels", type=int, default=21)
     p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0, help="scene seed")
     _add_common(p)
 
     return parser
@@ -141,8 +142,7 @@ def cmd_refine(args) -> int:
             f"upsampled unary is {height}x{width} but the image is "
             f"{image.height}x{image.width}; check --factor"
         )
-    fm = upsample_bilinear(fm, args.factor)
-    unary = UnaryField(np.asarray(fm.data, dtype=np.float64))
+    unary = UnaryField(upsample_bilinear(fm, args.factor).data)
     state, labels = run_inference(
         unary,
         image,
@@ -192,8 +192,7 @@ def _read_manifest(path: str) -> list:
                     f"got {len(parts)} fields"
                 )
             unary_path, image_path, gt_path = parts
-            fm = read_tensor(unary_path)
-            unary = UnaryField(np.asarray(fm.data, dtype=np.float64))
+            unary = UnaryField(read_tensor(unary_path).data)
             cases.append((unary, read_ppm(image_path), read_pgm(gt_path)))
     return cases
 
@@ -295,8 +294,7 @@ def bench_scene(height: int, width: int, labels: int, seed: int) -> SceneSpec:
 
 
 def cmd_bench(args) -> int:
-    seed = 0 if args.seed is None else args.seed
-    spec = bench_scene(args.height, args.width, max(args.labels, 2), seed)
+    spec = bench_scene(args.height, args.width, max(args.labels, 2), args.seed)
     unary, image, _ = make_instance(spec, num_labels=max(args.labels, 2))
     timer: dict = {}
     start = time.perf_counter()

@@ -187,15 +187,20 @@ def _parse_pnm_header(blob: bytes, magic: bytes, path: str) -> tuple[int, int, i
     return width, height, pos
 
 
-def read_ppm(path: str) -> RgbImage:
+def _read_pnm(path: str, magic: bytes, channels: int) -> np.ndarray:
+    """The (height, width, channels) uint8 payload of a binary PNM file."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    width, height, pos = _parse_pnm_header(blob, b"P6", path)
-    expected = 3 * width * height
+    width, height, pos = _parse_pnm_header(blob, magic, path)
+    expected = channels * width * height
     if len(blob) - pos != expected:
         raise FormatError(f"{path}: payload is {len(blob) - pos} bytes, expected {expected}")
     data = np.frombuffer(blob, dtype=np.uint8, count=expected, offset=pos)
-    return RgbImage(data.reshape(height, width, 3))
+    return data.reshape(height, width, channels)
+
+
+def read_ppm(path: str) -> RgbImage:
+    return RgbImage(_read_pnm(path, b"P6", 3))
 
 
 def write_ppm(image: RgbImage, path: str) -> None:
@@ -207,14 +212,7 @@ def write_ppm(image: RgbImage, path: str) -> None:
 
 
 def read_pgm(path: str) -> LabelMap:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    width, height, pos = _parse_pnm_header(blob, b"P5", path)
-    expected = width * height
-    if len(blob) - pos != expected:
-        raise FormatError(f"{path}: payload is {len(blob) - pos} bytes, expected {expected}")
-    data = np.frombuffer(blob, dtype=np.uint8, count=expected, offset=pos)
-    return LabelMap(data.reshape(height, width))
+    return LabelMap(_read_pnm(path, b"P5", 1)[..., 0])
 
 
 def write_pgm(labels: LabelMap, path: str) -> None:

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .core import LabelMap, RgbImage, ShapeError
-from .hdfilter import FeaturePoints, PermutohedralLattice, gaussian_filter_exact
+from .hdfilter import FeaturePoints, PermutohedralLattice, _tick, gaussian_filter_exact
 from .metrics import confusion, mean_iou
 
 PROB_CLAMP = 1e-20
@@ -140,7 +140,10 @@ def _exp_minus_row_max(rows: np.ndarray) -> None:
     top = rows[:, 0].copy()
     for column in rows.T[1:]:
         np.maximum(top, column, out=top)
-    rows -= top[:, None]
+    # Every entry is at most its row's max, so the subtraction can overflow
+    # only to -inf, whose exp, 0, is the correct limit.
+    with np.errstate(over="ignore"):
+        rows -= top[:, None]
     np.exp(rows, out=rows)
 
 
@@ -158,18 +161,17 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def unary_from_probs(probs: np.ndarray, epsilon: float = PROB_CLAMP) -> UnaryField:
-    """Turn per-pixel label probabilities into clamped negative-log costs."""
+def unary_from_probs(probs: np.ndarray) -> UnaryField:
+    """Turn per-pixel label probabilities into negative-log costs, with
+    probabilities clamped below at PROB_CLAMP."""
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 3 or p.shape[2] < 2:
         raise ShapeError(f"probabilities must be (h, w, labels>=2), got {p.shape}")
-    if not (epsilon > 0):
-        raise ValueError(f"clamp floor must be > 0, got {epsilon}")
     if not np.isfinite(p).all() or (p < 0).any():
         raise ValueError("probabilities must be finite and >= 0")
     if np.abs(p.sum(axis=2) - 1.0).max() > 1e-4:
         raise ValueError("probability rows must sum to 1 within 1e-4")
-    return UnaryField(-np.log(np.maximum(p, epsilon)))
+    return UnaryField(-np.log(np.maximum(p, PROB_CLAMP)))
 
 
 def init_state(unary: UnaryField) -> MeanFieldState:
@@ -202,6 +204,14 @@ def spatial_features(height: int, width: int, sigma_gamma: float) -> FeaturePoin
 
 def _kernel_scales(params: PairwiseParams) -> tuple[float, float, float]:
     return (params.sigma_alpha, params.sigma_beta, params.sigma_gamma)
+
+
+def _check_image_size(image: RgbImage, unary: UnaryField) -> None:
+    if (image.height, image.width) != (unary.height, unary.width):
+        raise ShapeError(
+            f"image {image.height}x{image.width} does not match "
+            f"unary {unary.height}x{unary.width}"
+        )
 
 
 def _spatial_row_masses(height: int, width: int, sigma_gamma: float) -> np.ndarray:
@@ -240,7 +250,7 @@ class _KernelFilter:
             return gaussian_filter_exact(values, self.structure)
         out = self.structure.filter(values, timer=timer)
         if self.gain is not None:
-            out *= self.gain if out.ndim == 2 else self.gain[:, 0]
+            out *= self.gain
         return out
 
 
@@ -269,7 +279,6 @@ class PairwiseFilters:
         image: RgbImage,
         params: PairwiseParams,
         backend: str = "exact",
-        timer: dict | None = None,
         spatial_cache: dict | None = None,
     ) -> None:
         if backend not in BACKENDS:
@@ -285,7 +294,6 @@ class PairwiseFilters:
         self._sigmas = _kernel_scales(params)
         self.shape = (h, w)
         self._pixels = image.data
-        start = time.perf_counter()
         bilateral = bilateral_features(image, params.sigma_alpha, params.sigma_beta)
         small = backend == "lattice" and n <= EXACT_MASS_MAX_PIXELS
         true_mass = partial(gaussian_filter_exact, np.ones(n), bilateral) if small else None
@@ -298,8 +306,6 @@ class PairwiseFilters:
                 partial(_spatial_row_masses, h, w, params.sigma_gamma),
             )
         self.filter_spatial = cache[key]
-        if timer is not None:
-            timer["build"] = timer.get("build", 0.0) + time.perf_counter() - start
 
     def require(self, image: RgbImage, params: PairwiseParams, backend: str) -> None:
         built = (self.backend, self._sigmas, self.shape)
@@ -341,8 +347,7 @@ def _update(q, theta, filters, w1, w12, w2, timer) -> np.ndarray:
         rows = b.reshape(-1, labels)
         _exp_minus_row_max(rows)
         rows /= np.einsum("ij->i", rows)[:, None]
-    if timer is not None:
-        timer["update"] = timer.get("update", 0.0) + time.perf_counter() - start
+    _tick(timer, "update", start)
     return z
 
 
@@ -383,23 +388,22 @@ def run_inference(
     iters: int = DEFAULT_ITERATIONS,
     backend: str = "exact",
     timer: dict | None = None,
-    filters: PairwiseFilters | None = None,
 ) -> tuple[MeanFieldState, LabelMap]:
     """Run `iters` belief updates from the classifier posterior.
 
     iters=0 returns the posterior itself, so the label map degenerates to
-    the unary argmax. `filters`, when given, must have been built for this
-    image, backend and kernel scales; otherwise they are built here.
+    the unary argmax.
     """
     batch = [params or PairwiseParams()]
-    state = MeanFieldState(next(_infer(unary, image, batch, iters, backend, filters, timer)))
+    state = MeanFieldState(next(_infer(unary, image, batch, iters, backend, None, timer)))
     return state, labels_from_state(state)
 
 
 def _infer(unary, image, batch, iters, backend, filters, timer, q=None):
     """Yield the (h, w, labels) belief after `iters` updates from belief q,
     by default the classifier posterior, under each of `batch`, PairwiseParams
-    that differ only in w1.
+    that differ only in w1. `filters`, when given, must have been built for
+    this image, backend and kernel scales; otherwise they are built here.
 
     The float32 lattice path runs as many weights side by side as
     BATCH_MAX_ELEMENTS allows, one run after another, so a caller consuming
@@ -411,17 +415,15 @@ def _infer(unary, image, batch, iters, backend, filters, timer, q=None):
         raise ValueError(f"iteration count must be >= 0, got {iters}")
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if (image.height, image.width) != (unary.height, unary.width):
-        raise ShapeError(
-            f"image {image.height}x{image.width} does not match "
-            f"unary {unary.height}x{unary.width}"
-        )
+    _check_image_size(image, unary)
     if iters == 0:
         yield from [_softmax_rows(-unary.theta) if q is None else q] * len(batch)
         return
     params, (h, w, labels), n = batch[0], unary.theta.shape, unary.height * unary.width
     if filters is None:
-        filters = PairwiseFilters(image, params, backend, timer=timer)
+        start = time.perf_counter()
+        filters = PairwiseFilters(image, params, backend)
+        _tick(timer, "build", start)
     else:
         filters.require(image, params, backend)
     dtype = np.float64 if backend == "exact" else np.float32
@@ -454,11 +456,7 @@ def energy(
             f"labels {labels.labels.shape} do not match unary "
             f"{(unary.height, unary.width)}"
         )
-    if (image.height, image.width) != (unary.height, unary.width):
-        raise ShapeError(
-            f"image {image.height}x{image.width} does not match "
-            f"unary {unary.height}x{unary.width}"
-        )
+    _check_image_size(image, unary)
     lab = labels.labels.reshape(-1).astype(np.int64)
     if lab.max() >= unary.labels:
         raise ValueError(f"labels must be < {unary.labels}")
@@ -520,7 +518,7 @@ def _refine_axis(values: tuple, best: float) -> list[float]:
 
 def grid_search(
     cases,
-    ranges: SearchRanges | None = None,
+    ranges: SearchRanges = SearchRanges(),
     iters: int = DEFAULT_ITERATIONS,
     backend: str = "lattice",
     report: list | None = None,
@@ -542,8 +540,6 @@ def grid_search(
     cases = list(cases)
     if not cases:
         raise ValueError("grid search needs at least one validation case")
-    if ranges is None:
-        ranges = SearchRanges()
     cache: dict[tuple, float] = {}
     spatial_cache: dict = {}
 

@@ -125,8 +125,6 @@ class PermutohedralLattice:
     """
 
     def __init__(self, feats: FeaturePoints) -> None:
-        if not isinstance(feats, FeaturePoints):
-            feats = FeaturePoints(feats)
         n, d = feats.n, feats.d
         dp1 = d + 1
         # keys stay consistent below 2^40 embedded units, at most d (d+1) |feature|

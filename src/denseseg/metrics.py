@@ -39,10 +39,6 @@ class ConfusionMatrix:
     def labels(self) -> int:
         return self.counts.shape[0]
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class TrimapBand:
@@ -126,8 +122,6 @@ def trimap_mask(gt: LabelMap, width: int) -> TrimapBand:
     band is the boundary set grown by width-1 steps of 8-connected
     dilation: a width-2 band around a straight edge is 4 pixels across.
     """
-    if width < 1:
-        raise ValueError(f"band width must be >= 1, got {width}")
     boundary = _boundary_4conn(gt.labels)
     if width > 1 and boundary.any():
         band = ndimage.binary_dilation(

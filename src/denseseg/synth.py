@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import FormatError, LabelMap, RgbImage
-from .densecrf import UnaryField, unary_from_probs
+from .densecrf import UnaryField, _softmax_rows, unary_from_probs
 
 MAX_SHAPE_LABEL = 254
 
@@ -190,8 +190,6 @@ def box_blur(plane: np.ndarray, radius: int) -> np.ndarray:
     if radius < 0:
         raise ValueError(f"blur radius must be >= 0, got {radius}")
     plane = np.asarray(plane, dtype=np.float64)
-    if radius == 0:
-        return plane.copy()
     size = 2 * radius + 1
     total = ndimage.uniform_filter(plane, size=size, mode="constant")
     share = ndimage.uniform_filter(np.ones_like(plane), size=size, mode="constant")
@@ -224,9 +222,7 @@ def corrupt_unary(
             z[..., l] = box_blur(z[..., l], blur)
     if noise_sigma > 0.0:
         z += rng.normal(0.0, noise_sigma, z.shape)
-    e = np.exp(z - z.max(axis=2, keepdims=True))
-    probs = e / e.sum(axis=2, keepdims=True)
-    return unary_from_probs(probs)
+    return unary_from_probs(_softmax_rows(z))
 
 
 def make_instance(

@@ -14,7 +14,7 @@ from denseseg.aspp import (
     rescale_pyramid,
 )
 from denseseg.atrous import AtrousRate, ConvKernel, atrous_conv_2d_holes
-from denseseg.core import FeatureMap, RgbImage, ShapeError
+from denseseg.core import FeatureMap, ShapeError
 
 
 def ones_branch(rate: int) -> AsppBranch:
@@ -197,15 +197,6 @@ class TestRescalePyramid:
         (out,) = rescale_pyramid(FeatureMap(ramp), [0.75])
         expected = [j * 7.0 / 5.0 for j in range(6)]
         assert np.allclose(out.data[:, 0, 0], expected, rtol=1e-6, atol=1e-6)
-
-    def test_rgb_image_rounds_half_up(self):
-        img = RgbImage(np.array([[[0, 0, 0], [1, 3, 255]]], dtype=np.uint8))
-        (out,) = rescale_pyramid(img, [1.0])
-        assert out is img
-        # 2 -> 1 column collapses to the left corner sample under align-corners
-        (half,) = rescale_pyramid(img, [0.5])
-        assert half.data.shape == (1, 1, 3)
-        assert tuple(half.data[0, 0]) == (0, 0, 0)
 
     def test_scale_sizes_round_half_up(self):
         fm = FeatureMap(np.zeros((5, 3, 1), dtype=np.float32))

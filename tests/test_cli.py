@@ -1,5 +1,6 @@
 """Exercises every subcommand through main(), including exit codes."""
 
+import os
 import subprocess
 import sys
 import time
@@ -360,6 +361,26 @@ class TestBench:
         assert best_time(256) / best_time(128) < 2.6
 
 
+class TestSeedFlag:
+    """Only the subcommands that draw randomness take --seed."""
+
+    def test_synth_and_bench_accept_it(self, tmp_path, capsys):
+        synth_files(tmp_path, seed=5)
+        assert run_cli("bench", "--height", 1, "--width", 1, "--labels", 2,
+                       "--iters", 1, "--seed", 5) == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ["refine", "--unary", "u.dlt", "--image", "i.ppm", "--out", "o.pgm"],
+        ["eval", "--pred", "p.pgm", "--gt", "g.pgm"],
+        ["tune", "--manifest", "m.txt"],
+    ])
+    def test_other_commands_reject_it(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--seed", 5)
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--seed" in capsys.readouterr().err
+
+
 class TestDeterminismAcrossThreads:
     def test_refine_outputs_bit_identical(self, tmp_path):
         paths = synth_files(tmp_path)
@@ -391,11 +412,14 @@ class TestDeterminismAcrossThreads:
 
 
 def test_module_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "denseseg.cli", "bench", "--height", "1",
          "--width", "1", "--labels", "2", "--iters", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("stage,seconds")

@@ -8,13 +8,22 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from denseseg.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from denseseg.core import FeatureMap, LabelMap, RgbImage, write_pgm, write_ppm, write_tensor
+from denseseg.core import (
+    FeatureMap,
+    LabelMap,
+    RgbImage,
+    read_pgm,
+    write_pgm,
+    write_ppm,
+    write_tensor,
+)
 
 HEIGHT, WIDTH, LABELS = 3, 4, 3
+F32_MAX = float(np.finfo(np.float32).max)
 FUZZ = settings(
     max_examples=150,
     deadline=None,
@@ -101,9 +110,17 @@ def assert_contract(code: int) -> None:
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO)
 
 
+def valid_tensor(costs) -> bytes:
+    """A DLT1 unary of the fixture's size with the same costs at every pixel."""
+    header = b"DLT1" + struct.pack("<IIII", 3, HEIGHT, WIDTH, LABELS)
+    return header + struct.pack(f"<{HEIGHT * WIDTH * LABELS}f", *costs * (HEIGHT * WIDTH))
+
+
 @pytest.mark.parametrize("backend", ["lattice", "exact"])
 @FUZZ
 @given(blob=tensor_bytes())
+@example(blob=valid_tensor([-F32_MAX, F32_MAX, F32_MAX]))
+@example(blob=valid_tensor([F32_MAX, -F32_MAX, 0.0]))
 def test_refine_survives_any_tensor(valid, backend, blob):
     unary = valid["root"] / f"fuzz-{backend}.dlt"
     unary.write_bytes(blob)
@@ -112,6 +129,25 @@ def test_refine_survives_any_tensor(valid, backend, blob):
         "--out", valid["root"] / f"out-{backend}.pgm", "--factor", 1,
         "--iters", 2, "--backend", backend,
     ]))
+
+
+@pytest.mark.parametrize("backend", ["lattice", "exact"])
+def test_extreme_costs_pick_the_cheapest_label(valid, backend):
+    """Costs of -+float32 max, the widest a DLT1 unary holds, overflow no
+    step of the update: each pixel takes its cheapest label."""
+    rng = np.random.default_rng(1)
+    cheapest = rng.integers(0, LABELS, (HEIGHT, WIDTH))
+    costs = np.full((HEIGHT, WIDTH, LABELS), F32_MAX, np.float32)
+    costs[np.arange(HEIGHT)[:, None], np.arange(WIDTH), cheapest] = -F32_MAX
+    costs[0, 0] = (F32_MAX, -F32_MAX, 0.0)
+    cheapest[0, 0] = 1
+    unary, out = valid["root"] / "extreme.dlt", valid["root"] / f"extreme-{backend}.pgm"
+    write_tensor(FeatureMap(costs), str(unary))
+    assert run_quietly([
+        "refine", "--unary", unary, "--image", valid["image.ppm"], "--out", out,
+        "--factor", 1, "--iters", 2, "--backend", backend,
+    ]) == EXIT_OK
+    assert np.array_equal(read_pgm(str(out)).labels, cheapest)
 
 
 @FUZZ

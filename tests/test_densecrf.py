@@ -163,7 +163,7 @@ class TestPosterior:
     def test_one_hot_costs(self):
         p = np.zeros((1, 1, 2))
         p[0, 0, 0] = 1.0
-        u = unary_from_probs(p, epsilon=1e-20)
+        u = unary_from_probs(p)
         assert u.theta[0, 0, 0] == 0.0
         assert u.theta[0, 0, 1] == pytest.approx(-math.log(1e-20), rel=1e-12)
 
@@ -185,10 +185,6 @@ class TestPosterior:
         p = np.array([[[1.2, -0.2]]])
         with pytest.raises(ValueError):
             unary_from_probs(p)
-
-    def test_nonpositive_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            unary_from_probs(np.full((1, 1, 2), 0.5), epsilon=0.0)
 
     def test_init_state_recovers_probs(self):
         rng = np.random.default_rng(7)
@@ -241,9 +237,10 @@ class TestFilterCache:
         filters = PairwiseFilters(image, PairwiseParams(w1=1.0, w2=0.5), backend)
         params = PairwiseParams(w1=5.0, w2=2.0)
         filters.require(image, params, backend)
-        cached, _ = run_inference(unary, image, params, iters=3, backend=backend,
-                                  filters=filters)
-        fresh, _ = run_inference(unary, image, params, iters=3, backend=backend)
+        cached = fresh = init_state(unary)
+        for _ in range(3):
+            cached = mean_field_step(cached, unary, image, params, backend, filters=filters)
+            fresh = mean_field_step(fresh, unary, image, params, backend)
         assert np.array_equal(cached.q, fresh.q)
 
     def test_inference_rejects_mismatched_filters(self):
@@ -252,8 +249,8 @@ class TestFilterCache:
         unary = unary_from_probs(random_posterior(rng, 4, 4, 2))
         filters = PairwiseFilters(image, PairwiseParams(sigma_beta=2.0), "exact")
         with pytest.raises(FilterCacheError):
-            run_inference(unary, image, PairwiseParams(), iters=1, backend="exact",
-                          filters=filters)
+            mean_field_step(init_state(unary), unary, image, PairwiseParams(), "exact",
+                            filters=filters)
 
     def test_exact_backend_capped_at_4096_pixels(self):
         rng = np.random.default_rng(7)
@@ -325,7 +322,8 @@ class TestFilterCache:
     def test_build_timer_recorded(self):
         rng = np.random.default_rng(4)
         timer = {}
-        PairwiseFilters(random_image(rng, 6, 6), PairwiseParams(), "lattice", timer=timer)
+        unary = unary_from_probs(random_posterior(rng, 6, 6, 2))
+        run_inference(unary, random_image(rng, 6, 6), iters=1, backend="lattice", timer=timer)
         assert timer["build"] > 0.0
 
 

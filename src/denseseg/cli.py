@@ -307,7 +307,7 @@ def cmd_bench(args) -> int:
     )
     total = time.perf_counter() - start
     lines = ["stage,seconds"]
-    for stage in ("build", "splat", "blur", "slice", "update"):
+    for stage in ("build", "init", "splat", "blur", "slice", "update", "finish"):
         lines.append(f"{stage},{timer.get(stage, 0.0):.6f}")
     lines.append(f"total,{total:.6f}")
     print("\n".join(lines))

@@ -42,6 +42,10 @@ BATCH_MAX_ELEMENTS = 1 << 22
 # one block's rows stay in cache from the first pass to the last.
 UPDATE_BLOCK_POINTS = 8192
 
+# Largest w1 or w2: 1e5 times the paper's tuned range (w1 3-6, w2 3), and weight
+# times kernel mass stays far below float32 max for images up to 2^31 pixels.
+MAX_WEIGHT = 1e6
+
 DEFAULT_WEIGHT_BILATERAL = 4.0
 DEFAULT_WEIGHT_SPATIAL = 3.0
 DEFAULT_SIGMA_POSITION = 60.0
@@ -73,9 +77,9 @@ class PairwiseParams:
             value = float(getattr(self, name))
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if name in ("w1", "w2") and not 0 <= value <= MAX_WEIGHT:
+                raise ValueError(f"{name} must be in [0, {MAX_WEIGHT:g}], got {value}")
             object.__setattr__(self, name, value)
-        if self.w1 < 0 or self.w2 < 0:
-            raise ValueError(f"kernel weights must be >= 0, got {self.w1}, {self.w2}")
         if min(self.sigma_alpha, self.sigma_beta, self.sigma_gamma) <= 0:
             raise ValueError("kernel scales must be > 0")
 
@@ -228,30 +232,11 @@ def _spatial_row_masses(height: int, width: int, sigma_gamma: float) -> np.ndarr
     return np.outer(axis_mass(height), axis_mass(width)).reshape(-1)
 
 
-class _KernelFilter:
-    """One unit Gaussian kernel over fixed feature points, on one backend.
-
-    On the lattice, the exact row masses from `true_mass()` turn into a
-    per-point gain true_mass / lattice_mass on every output. They are asked
-    for once the lattice is built, so features it refuses never reach an
-    all-pairs pass.
-    """
-
-    def __init__(self, feats: FeaturePoints, backend: str, true_mass=None) -> None:
-        self.backend, self.gain = backend, None
-        self.structure = feats if backend == "exact" else PermutohedralLattice(feats)
-        if backend == "lattice" and true_mass is not None:
-            mass = self.structure.filter(np.ones(feats.n, np.float32)).astype(np.float64)
-            tiny = np.finfo(np.float32).tiny
-            self.gain = (true_mass() / np.maximum(mass, tiny)).astype(np.float32)[:, None]
-
-    def __call__(self, values: np.ndarray, timer: dict | None = None) -> np.ndarray:
-        if self.backend == "exact":
-            return gaussian_filter_exact(values, self.structure)
-        out = self.structure.filter(values, timer=timer)
-        if self.gain is not None:
-            out *= self.gain
-        return out
+def _filter(structure, values: np.ndarray, timer: dict | None) -> np.ndarray:
+    """One unit Gaussian kernel's sums: all pairs on FeaturePoints, else the lattice."""
+    if isinstance(structure, FeaturePoints):
+        return gaussian_filter_exact(values, structure)
+    return structure.filter(values, timer=timer)
 
 
 class PairwiseFilters:
@@ -267,11 +252,11 @@ class PairwiseFilters:
 
     The lattice path does not emit raw lattice output: the raw kernel has a
     point-dependent gain (and a badly shrunk self-coefficient), so each
-    filtered value is rescaled by true_row_mass / lattice_row_mass. The
-    lattice mass comes from filtering an all-ones vector once at build; the
-    true mass is exact for the spatial kernel at any size (separability)
-    and exact for the bilateral kernel up to EXACT_MASS_MAX_PIXELS pixels,
-    beyond which the lattice's own estimate stands in, a gain of one.
+    lattice calibrates its slice to scale every output row by
+    true_row_mass / lattice_row_mass. The true mass is exact for the spatial
+    kernel at any size (separability) and exact for the bilateral kernel up
+    to EXACT_MASS_MAX_PIXELS pixels, beyond which the lattice's own estimate
+    stands in, a gain of one.
     """
 
     def __init__(
@@ -297,15 +282,21 @@ class PairwiseFilters:
         bilateral = bilateral_features(image, params.sigma_alpha, params.sigma_beta)
         small = backend == "lattice" and n <= EXACT_MASS_MAX_PIXELS
         true_mass = partial(gaussian_filter_exact, np.ones(n), bilateral) if small else None
-        self.filter_bilateral = _KernelFilter(bilateral, backend, true_mass)
+        self.bilateral = (bilateral if backend == "exact"
+                          else PermutohedralLattice(bilateral, true_mass))
         cache = {} if spatial_cache is None else spatial_cache
         key = (h, w, params.sigma_gamma, backend)
         if key not in cache:
-            cache[key] = _KernelFilter(
-                spatial_features(h, w, params.sigma_gamma), backend,
-                partial(_spatial_row_masses, h, w, params.sigma_gamma),
-            )
-        self.filter_spatial = cache[key]
+            spatial = spatial_features(h, w, params.sigma_gamma)
+            cache[key] = spatial if backend == "exact" else PermutohedralLattice(
+                spatial, partial(_spatial_row_masses, h, w, params.sigma_gamma))
+        self.spatial = cache[key]
+
+    def filter_bilateral(self, values: np.ndarray, timer: dict | None = None) -> np.ndarray:
+        return _filter(self.bilateral, values, timer)
+
+    def filter_spatial(self, values: np.ndarray, timer: dict | None = None) -> np.ndarray:
+        return _filter(self.spatial, values, timer)
 
     def require(self, image: RgbImage, params: PairwiseParams, backend: str) -> None:
         built = (self.backend, self._sigmas, self.shape)
@@ -395,8 +386,12 @@ def run_inference(
     the unary argmax.
     """
     batch = [params or PairwiseParams()]
-    state = MeanFieldState(next(_infer(unary, image, batch, iters, backend, None, timer)))
-    return state, labels_from_state(state)
+    q = next(_infer(unary, image, batch, iters, backend, None, timer))
+    start = time.perf_counter()
+    state = MeanFieldState(q)
+    labels = labels_from_state(state)
+    _tick(timer, "finish", start)
+    return state, labels
 
 
 def _infer(unary, image, batch, iters, backend, filters, timer, q=None):
@@ -435,9 +430,11 @@ def _infer(unary, image, batch, iters, backend, filters, timer, q=None):
         w12 = np.array([p.w1 + p.w2 for p in part], dtype)[:, None]
         # a start belief per run, freed by its first update; K > 1 blocks
         # copy it, and the update never writes to its input
+        start = time.perf_counter()
         qk = _softmax_rows(-unary.theta) if q is None else q
         qk = qk.reshape(n, 1, labels).astype(dtype, copy=False)
         qk = np.broadcast_to(qk, (n, len(part), labels)).reshape(n, -1)
+        _tick(timer, "init", start)
         for _ in range(iters):
             qk = _update(qk, theta, filters, w1, w12, params.w2, timer)
         yield from np.moveaxis(qk.reshape(h, w, len(part), labels), 2, 0)
@@ -596,7 +593,7 @@ def grid_search(
             for a in _refine_axis(ranges.w1, winner[0])
             for b in _refine_axis(ranges.sigma_alpha, winner[1])
             for c in _refine_axis(ranges.sigma_beta, winner[2])
-            if a >= 0 and b > 0 and c > 0
+            if 0 <= a <= MAX_WEIGHT and b > 0 and c > 0
         }
     )
     final = scan("refine", refined, best_point=winner, best_score=cache[winner])

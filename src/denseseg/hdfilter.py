@@ -7,9 +7,10 @@ point's value onto the d+1 vertices of its enclosing simplex (splat), runs a
 [1, 2, 1]/4 pass along each of the d+1 lattice directions (blur), and gathers
 back with the same barycentric weights times a fixed gain (slice). Feature
 coordinates must arrive pre-divided by their sigma; the kernel here is always
-unit variance.
+unit variance. Given the true kernel masses, a lattice calibrates: each
+point's gain true mass / lattice mass joins its slice weights.
 
-Lattices are immutable after construction; filtering allocates per-call
+Lattices are immutable after calibration; filtering allocates per-call
 scratch, so one lattice may filter several value buffers concurrently.
 """
 
@@ -112,6 +113,23 @@ def _byte_rows(keys: np.ndarray) -> np.ndarray:
     return flipped.astype(">u8").view(np.dtype((np.void, 8 * keys.shape[-1])))[..., 0]
 
 
+def _elevate(coords: np.ndarray) -> np.ndarray:
+    """(n, d) points scaled so the [1,2,1] blur chain matches a unit Gaussian,
+    on the zero-sum hyperplane in d+1 coordinates, laid out (d+1, n). A running
+    sum as in the reference lattice code: on 2 cores, OpenBLAS's default
+    threads made a BLAS product tens of times slower than one thread."""
+    d = coords.shape[1]
+    idx = np.arange(d, dtype=np.float64)
+    scale = ((d + 1) * np.sqrt(2.0 / 3.0)) / np.sqrt((idx + 1.0) * (idx + 2.0))
+    scaled = np.multiply(coords.T, scale[:, None], order="C")
+    elevated = np.zeros((d + 1, coords.shape[0]))
+    for j in range(d, 0, -1):  # row j: the sum of scaled[j:] less j scaled[j - 1]
+        np.multiply(scaled[j - 1], -j, out=elevated[j])
+        elevated[j] += elevated[0]
+        elevated[0] += scaled[j - 1]
+    return elevated
+
+
 class PermutohedralLattice:
     """Simplex lattice for one fixed set of feature points.
 
@@ -122,9 +140,12 @@ class PermutohedralLattice:
     lattice coordinates (first d of d+1, the last is implied by the zero-sum
     constraint), and ``blur_n1``/``blur_n2`` the neighbor ids along each of
     the d+1 blur directions.
+
+    ``true_mass``, if given, returns the exact (n,) kernel row masses; the
+    float32 per-point gain in the slice is then ``gain``, else None.
     """
 
-    def __init__(self, feats: FeaturePoints) -> None:
+    def __init__(self, feats: FeaturePoints, true_mass=None) -> None:
         n, d = feats.n, feats.d
         dp1 = d + 1
         # keys stay consistent below 2^40 embedded units, at most d (d+1) |feature|
@@ -133,16 +154,7 @@ class PermutohedralLattice:
         self.num_points = n
         self.dim = d
 
-        # Scale so the [1,2,1] blur chain matches a unit Gaussian, then project
-        # onto the zero-sum hyperplane in d+1 coordinates.
-        idx = np.arange(d, dtype=np.float64)
-        scale = (dp1 * np.sqrt(2.0 / 3.0)) / np.sqrt((idx + 1.0) * (idx + 2.0))
-        basis = np.zeros((dp1, d))
-        basis[0, :] = 1.0
-        for j in range(1, dp1):
-            basis[j, j - 1] = -float(j)
-            basis[j, j:] = 1.0
-        elevated = (feats.coords * scale) @ basis.T  # (n, d+1), rows sum to 0
+        elevated = _elevate(feats.coords)  # (d+1, n), columns sum to 0
 
         # Nearest zero-remainder point along each coordinate (ties go down).
         v = elevated / dp1
@@ -150,12 +162,12 @@ class PermutohedralLattice:
         down = np.floor(v) * dp1
         rem0 = np.where(up - elevated < elevated - down, up, down)
         # rem0 holds multiples of d+1 below 2^44, so any summation order is exact
-        coord_sums = np.rint(np.einsum("ij->i", rem0) / dp1).astype(np.int64)
+        coord_sums = np.rint(rem0.sum(axis=0) / dp1).astype(np.int64)
 
         # rank[i] = how many coordinates exceed coordinate i (ties to the earlier
         # index), counted by pairwise comparison as in the reference lattice
         # code, then shifted back onto the canonical simplex range.
-        gap = np.ascontiguousarray((elevated - rem0).T)
+        gap = elevated - rem0
         rank_t = np.zeros((dp1, n), dtype=np.int64)
         for i in range(dp1):
             for k in range(i + 1, dp1):
@@ -166,7 +178,7 @@ class PermutohedralLattice:
         wrap = dp1 * ((rank_t < 0).astype(np.int64) - (rank_t > d))
         rank_t += wrap
         # only where it moves, so rem0 keeps the signs of its zeros
-        np.add(rem0.T, wrap, out=rem0.T, where=wrap != 0)
+        np.add(rem0, wrap, out=rem0, where=wrap != 0)
         rank = rank_t.T
         # flat index of each (point, rank) cell in a C-ordered (n, d+1) array
         by_rank_at = rank + np.arange(0, n * dp1, dp1)[:, None]
@@ -175,7 +187,7 @@ class PermutohedralLattice:
         # (rem0 may have moved in the wraparound fix above): vertex k gets
         # s[d - k] - s[d + 1 - k], and vertex 0 also the wrapped 1 - s[0].
         by_rank = np.empty((n, dp1))
-        by_rank.reshape(-1)[by_rank_at] = (elevated - rem0) / dp1
+        by_rank.reshape(-1)[by_rank_at] = ((elevated - rem0) / dp1).T
         rev = by_rank[:, ::-1]
         bary = np.empty_like(by_rank)
         np.subtract(rev[:, 1:], rev[:, :-1], out=bary[:, 1:])
@@ -185,7 +197,7 @@ class PermutohedralLattice:
         # Vertex r of a point has key rem0 + r in each stored coordinate,
         # less d+1 where rank + r > d; over r, coordinate j spans
         # [rem0_j - rank_j, rem0_j - rank_j + d].
-        rem0_int = np.rint(rem0[:, :d]).astype(np.int64)
+        rem0_int = np.rint(rem0[:d].T).astype(np.int64)
         lowest = rem0_int - rank[:, :d]
         key_min = lowest.min(axis=0)
         key_range = lowest.max(axis=0) + d - key_min
@@ -223,7 +235,7 @@ class PermutohedralLattice:
             table = _byte_rows(self.vertex_keys)  # sorted, as np.unique left them
             base, moves = self.vertex_keys, step
         self.num_vertices = len(self.vertex_keys)
-        self.offsets = (inverse.reshape(n, dp1) + 1).astype(np.int64)
+        self.offsets = inverse.reshape(n, dp1) + 1
 
         self.blur_n1 = np.zeros((dp1, self.num_vertices + 1), dtype=np.int64)
         self.blur_n2 = np.zeros((dp1, self.num_vertices + 1), dtype=np.int64)
@@ -234,37 +246,45 @@ class PermutohedralLattice:
             pos = np.searchsorted(table, queries)
             np.minimum(pos, self.num_vertices - 1, out=pos)
             out[:, 1:] = np.where(table[pos] == queries, pos + 1, 0)
+        # Blur direction j as a sparse matrix: each vertex keeps 1/2 of itself
+        # and gets 1/4 of each neighbour (the sentinel row 0 stays 0).
+        m = self.num_vertices + 1
+        weights = np.tile(np.array([0.5, 0.25, 0.25], np.float32), m)
+        self._blur = [scipy.sparse.csr_matrix(
+            (weights, np.stack([np.arange(m), n1, n2], 1).ravel(), np.arange(0, 3 * m + 1, 3)),
+            shape=(m, m)) for n1, n2 in zip(self.blur_n1, self.blur_n2)]
 
         # Gain restoring the halved blur mass over d+1 passes, times the
         # classic correction matching the lattice kernel to the unit Gaussian.
-        self.alpha = float(2 ** (dp1)) / (1.0 + 2.0 ** (-d))
-
-        # splat uses the CSC transpose view: each vertex sums in point order
-        weights32 = self.barycentric.astype(np.float32)
-        point_ids = np.repeat(np.arange(n, dtype=np.int64), dp1)
+        alpha = float(2 ** (dp1)) / (1.0 + 2.0 ** (-d))
+        # Vertex ids per point in rank order, stored once: the splat is their
+        # (V+1, n) CSC matrix of float32 weights (each vertex sums in point
+        # order), the slice the (n, V+1) CSR of alpha * gain * weight.
+        indptr = np.arange(0, n * dp1 + 1, dp1)
+        self._splat = scipy.sparse.csc_matrix(
+            (bary.astype(np.float32).ravel(), self.offsets.ravel(), indptr), shape=(m, n))
         self._slice = scipy.sparse.csr_matrix(
-            (weights32.ravel(), (self.offsets.ravel(), point_ids)),
-            shape=(self.num_vertices + 1, n),
-        ).T.tocsr()
+            ((bary * alpha).astype(np.float32).ravel(), self._splat.indices, self._splat.indptr),
+            shape=(n, m))
+        # Asked for only now, so features the lattice refuses never reach an
+        # all-pairs pass; the lattice mass is the filtered all-ones.
+        self.gain = None
+        if true_mass is not None:
+            mass = np.maximum(self.filter(np.ones(n, np.float32)), np.finfo(np.float32).tiny)
+            self.gain = (true_mass() / mass.astype(np.float64)).astype(np.float32)
+            gain = alpha * self.gain.astype(np.float64)
+            self._slice.data = (bary * gain[:, None]).astype(np.float32).ravel()
 
     def filter(self, values, timer: dict | None = None) -> np.ndarray:
         """Splat -> blur -> slice; float32 output approximating the exact filter."""
         v, squeezed = _as_value_matrix(values, self.num_points)
         t0 = time.perf_counter() if timer is not None else 0.0
-        lat = self._slice.T @ np.ascontiguousarray(v, dtype=np.float32)
+        lat = self._splat @ np.ascontiguousarray(v, dtype=np.float32)
         t0 = _tick(timer, "splat", t0)
-        scratch = np.empty_like(lat)
-        gathered = np.empty_like(lat)
-        for j in range(self.dim + 1):
-            np.take(lat, self.blur_n1[j], axis=0, out=scratch)
-            np.take(lat, self.blur_n2[j], axis=0, out=gathered)
-            scratch += gathered
-            scratch *= 0.25
-            lat *= 0.5
-            lat += scratch
+        for blur in self._blur:
+            lat = blur @ lat
         t0 = _tick(timer, "blur", t0)
         out = self._slice @ lat
-        out *= np.float32(self.alpha)
         _tick(timer, "slice", t0)
         return out[:, 0] if squeezed else out
 

@@ -223,12 +223,14 @@ def lattice_embed_reference(coords: np.ndarray):
     dp1 = d + 1
     idx = np.arange(d, dtype=np.float64)
     scale = (dp1 * np.sqrt(2.0 / 3.0)) / np.sqrt((idx + 1.0) * (idx + 2.0))
-    basis = np.zeros((dp1, d))
-    basis[0, :] = 1.0
-    for j in range(1, dp1):
-        basis[j, j - 1] = -float(j)
-        basis[j, j:] = 1.0
-    elevated = (f * scale) @ basis.T
+    # elevation by the reference lattice code's running sum
+    scaled = f * scale
+    elevated = np.empty((n, dp1))
+    running = np.zeros(n)
+    for i in range(d, 0, -1):
+        elevated[:, i] = running - i * scaled[:, i - 1]
+        running = running + scaled[:, i - 1]
+    elevated[:, 0] = running
 
     v = elevated / dp1
     up = np.ceil(v) * dp1
@@ -276,6 +278,31 @@ def lattice_embed_reference(coords: np.ndarray):
             blur_n1[j, i + 1] = table.get(tuple((key - step).tolist()), 0)
             blur_n2[j, i + 1] = table.get(tuple((key + step).tolist()), 0)
     return offsets, bary[:, :dp1], vertex_keys, blur_n1, blur_n2
+
+
+def lattice_filter_reference(lattice, values) -> np.ndarray:
+    """A built lattice's splat, blur and slice in float64, times the gain
+    2^(d+1) / (1 + 2^-d), read from its offsets, barycentric weights and
+    blur neighbour ids alone; no per-point calibration gain.
+
+    Splat adds each point's weighted values into its d+1 vertices, each blur
+    direction replaces every vertex by 1/4, 1/2, 1/4 of its two neighbours
+    and itself (row 0, the missing-neighbour sentinel, stays 0), and slice
+    takes each point's weighted sum of its vertices.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    offsets, bary = lattice.offsets, lattice.barycentric
+    n, dp1 = offsets.shape
+    lat = np.zeros((lattice.num_vertices + 1, v.shape[1]))
+    for k in range(dp1):
+        np.add.at(lat, offsets[:, k], bary[:, k, None] * v)
+    for j in range(dp1):
+        lat = 0.5 * lat + 0.25 * (lat[lattice.blur_n1[j]] + lat[lattice.blur_n2[j]])
+    out = np.zeros_like(v)
+    for k in range(dp1):
+        out += bary[:, k, None] * lat[offsets[:, k]]
+    d = dp1 - 1
+    return out * (2.0 ** dp1 / (1.0 + 2.0 ** -d))
 
 
 def meanfield_update_total_minus_own(q, theta, filt_bilateral, filt_spatial, w1, w2):

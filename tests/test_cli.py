@@ -160,6 +160,27 @@ class TestRefine:
         err = capsys.readouterr().err
         assert "wider kernels" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("backend, side, weight, expected", [
+        ("lattice", 64, "1e36", EXIT_VALIDATION),
+        ("exact", 16, "1e308", EXIT_VALIDATION),
+        ("lattice", 64, "1e6", EXIT_OK),
+        ("exact", 16, "1e6", EXIT_OK),
+    ])
+    def test_pairwise_weights_capped(self, tmp_path, capsys, backend, side, weight, expected):
+        """Weights above MAX_WEIGHT (1e6) exit 2 naming w1; at the cap the
+        run completes with no RuntimeWarning, which the suite turns into an
+        error."""
+        scene = (f"height = {side}\nwidth = {side}\nseed = 3\nnoise_sigma = 0.6\n"
+                 "rect = label:1 top:2 left:3 height:9 width:8 color:200,60,60 jitter:3.0\n")
+        paths = synth_files(tmp_path, scene=scene)
+        rc = run_cli("refine", "--unary", paths["unary"], "--image", paths["image"],
+                     "--out", tmp_path / "x.pgm", "--factor", 1, "--iters", 2,
+                     "--backend", backend, "--w1", weight, "--w2", weight)
+        assert rc == expected
+        err = capsys.readouterr().err
+        assert ("w1 must be in [0, 1e+06]" in err) == (expected == EXIT_VALIDATION)
+        assert "Traceback" not in err
+
     def test_missing_input_exits_3(self, tmp_path):
         paths = synth_files(tmp_path)
         rc = run_cli("refine", "--unary", tmp_path / "nope.dlt",
@@ -260,6 +281,16 @@ class TestTune:
         best = float(rows[-1][4])
         assert best >= max(coarse)
 
+    def test_weight_above_cap_exits_2(self, tmp_path, capsys):
+        paths = synth_files(tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{paths['unary']} {paths['image']} {paths['gt']}\n")
+        rc = run_cli("tune", "--manifest", manifest, "--iters", 1,
+                     "--w1-values", "3,2e6", "--sigma-alpha-values", "30",
+                     "--sigma-beta-values", "4")
+        assert rc == EXIT_VALIDATION
+        assert "w1 must be in" in capsys.readouterr().err
+
     def test_empty_manifest_exits_2(self, tmp_path):
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("# nothing here\n\n")
@@ -335,7 +366,7 @@ class TestBench:
         rows = parse_csv(capsys.readouterr().out)
         assert rows[0] == ["stage", "seconds"]
         assert [r[0] for r in rows[1:]] == [
-            "build", "splat", "blur", "slice", "update", "total",
+            "build", "init", "splat", "blur", "slice", "update", "finish", "total",
         ]
         assert all(float(r[1]) >= 0.0 for r in rows[1:])
 

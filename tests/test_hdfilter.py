@@ -19,7 +19,12 @@ from denseseg.hdfilter import (
     gaussian_filter_exact,
     lattice_filter_normalized,
 )
-from oracles import gaussian_filter_bruteforce, lattice_embed_reference, relative_l2
+from oracles import (
+    gaussian_filter_bruteforce,
+    lattice_embed_reference,
+    lattice_filter_reference,
+    relative_l2,
+)
 
 
 @st.composite
@@ -275,6 +280,23 @@ class TestLatticeStructure:
         assert np.array_equal(lat.blur_n1, n1)
         assert np.array_equal(lat.blur_n2, n2)
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_elevation_matches_basis_product(self, d):
+        """The running-sum elevation equals the product with the explicit
+        projection basis within 1e-12 of the largest entry: only the
+        summation order differs."""
+        coords = np.random.default_rng(140 + d).normal(scale=50.0, size=(500, d))
+        idx = np.arange(d, dtype=np.float64)
+        scale = ((d + 1) * np.sqrt(2.0 / 3.0)) / np.sqrt((idx + 1.0) * (idx + 2.0))
+        basis = np.zeros((d + 1, d))
+        basis[0, :] = 1.0
+        for j in range(1, d + 1):
+            basis[j, j - 1] = -float(j)
+            basis[j, j:] = 1.0
+        want = (coords * scale) @ basis.T
+        got = hdfilter._elevate(coords).T
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(edge_points())
     def test_blur_neighbours_match_direct_construction(self, pts):
@@ -369,6 +391,28 @@ class TestLatticeFilter:
         lat = PermutohedralLattice(FeaturePoints(np.zeros((3, 2))))
         with pytest.raises(ShapeError):
             lat.filter(np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("columns", [1, 21, 63])
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_matches_float64_reference(self, d, columns):
+        """The float32 filter, alpha folded into its slice weights, against
+        the same splat, blur and slice in float64. Inputs and outputs are
+        positive, so the error is taken per entry; the worst measured over
+        six seeds on such features was 5.2e-7 relative (4.4 float32 eps) and
+        the bound is 8 float32 eps."""
+        rng = np.random.default_rng(150 + d)
+        h, w = 45, 50
+        if d == 2:
+            feats = FeaturePoints(np.mgrid[0:h, 0:w].reshape(2, -1).T / 3.0)
+        else:
+            blocks = rng.integers(0, 256, (h // 8 + 1, w // 8 + 1, 3))
+            pixels = np.repeat(np.repeat(blocks, 8, 0), 8, 1)[:h, :w].astype(np.uint8)
+            feats = bilateral_features(RgbImage(pixels), 20.0, 5.0)
+        lat = PermutohedralLattice(feats)
+        v = rng.random((feats.n, columns)).astype(np.float32)
+        want = lattice_filter_reference(lat, v)
+        got = lat.filter(v).astype(np.float64)
+        assert (np.abs(got - want) / want).max() <= 8 * np.finfo(np.float32).eps
 
     def test_timer_accumulates_stages(self):
         rng = np.random.default_rng(106)

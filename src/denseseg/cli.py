@@ -152,7 +152,7 @@ def cmd_refine(args) -> int:
     )
     write_pgm(labels, args.out)
     if args.q_out:
-        write_tensor(FeatureMap(state.q.astype(np.float32)), args.q_out)
+        write_tensor(FeatureMap(state.q), args.q_out)
     return EXIT_OK
 
 
@@ -212,14 +212,7 @@ def cmd_tune(args) -> int:
         sigma_alpha=_parse_axis(args.sigma_alpha_values, COARSE_SIGMA_ALPHA),
         sigma_beta=_parse_axis(args.sigma_beta_values, COARSE_SIGMA_BETA),
     )
-    report = []
-    best = grid_search(
-        cases,
-        ranges=ranges,
-        iters=args.iters,
-        backend=args.backend,
-        report=report,
-    )
+    best, report = grid_search(cases, ranges=ranges, iters=args.iters, backend=args.backend)
     lines = ["stage,w1,sigma_alpha,sigma_beta,mean_miou"]
     for point in report:
         p = point.params
@@ -252,7 +245,7 @@ def cmd_synth(args) -> int:
     if args.out_gt:
         write_pgm(gt, args.out_gt)
     if args.out_unary:
-        write_tensor(FeatureMap(unary.theta.astype(np.float32)), args.out_unary)
+        write_tensor(FeatureMap(unary.theta), args.out_unary)
     return EXIT_OK
 
 
@@ -294,8 +287,8 @@ def bench_scene(height: int, width: int, labels: int, seed: int) -> SceneSpec:
 
 
 def cmd_bench(args) -> int:
-    spec = bench_scene(args.height, args.width, max(args.labels, 2), args.seed)
-    unary, image, _ = make_instance(spec, num_labels=max(args.labels, 2))
+    spec = bench_scene(args.height, args.width, args.labels, args.seed)
+    unary, image, _ = make_instance(spec, num_labels=args.labels)
     timer: dict = {}
     start = time.perf_counter()
     run_inference(

@@ -18,12 +18,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 
 import numpy as np
 
 from .core import LabelMap, RgbImage, ShapeError
 from .hdfilter import FeaturePoints, PermutohedralLattice, _tick, gaussian_filter_exact
-from .metrics import confusion, mean_iou
+from .metrics import IGNORE_LABEL, confusion, mean_iou
 
 PROB_CLAMP = 1e-20
 BACKENDS = ("exact", "lattice")
@@ -56,6 +57,13 @@ DEFAULT_ITERATIONS = 10
 
 class FilterCacheError(ValueError):
     """Cached pairwise filters no longer match the image or parameters."""
+
+
+def _float_array(values) -> np.ndarray:
+    """A C-contiguous float array: float32 stays float32, so the lattice's
+    float32 costs and beliefs are not copied; anything else becomes float64."""
+    arr = np.asarray(values)
+    return np.ascontiguousarray(arr, np.float32 if arr.dtype == np.float32 else np.float64)
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ class UnaryField:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.ascontiguousarray(np.asarray(self.theta), dtype=np.float64)
+        t = _float_array(self.theta)
         if t.ndim != 3:
             raise ShapeError(f"unary costs must be 3-d, got shape {t.shape}")
         if t.shape[2] < 2:
@@ -120,12 +128,12 @@ class MeanFieldState:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.q), dtype=np.float64)
+        arr = _float_array(self.q)
         if arr.ndim != 3 or arr.shape[2] < 2:
             raise ShapeError(f"belief must be (h, w, labels>=2), got {arr.shape}")
         if not (arr >= 0).all():
             raise ValueError("belief entries must be >= 0 and not NaN")
-        sums = arr.sum(axis=2)
+        sums = np.einsum("ijk->ij", arr, dtype=np.float64)
         if np.abs(sums - 1.0).max() > 1e-5:
             raise ValueError("belief rows must sum to 1 within 1e-5")
         object.__setattr__(self, "q", arr)
@@ -178,9 +186,15 @@ def unary_from_probs(probs: np.ndarray) -> UnaryField:
     return UnaryField(-np.log(np.maximum(p, PROB_CLAMP)))
 
 
+def _posterior(unary: UnaryField) -> np.ndarray:
+    """The classifier posterior, softmax of negated costs, in float64 for
+    float32 costs too."""
+    return _softmax_rows(np.negative(unary.theta, dtype=np.float64))
+
+
 def init_state(unary: UnaryField) -> MeanFieldState:
-    """Initial belief: the classifier posterior, softmax of negated costs."""
-    return MeanFieldState(_softmax_rows(-unary.theta))
+    """Initial belief: the classifier posterior."""
+    return MeanFieldState(_posterior(unary))
 
 
 def bilateral_features(
@@ -367,8 +381,11 @@ def mean_field_step(
 
 def labels_from_state(state: MeanFieldState) -> LabelMap:
     """Per-pixel argmax of the belief; ties go to the lowest label index."""
-    if state.labels > 256:
-        raise ShapeError(f"label maps support at most 256 classes, got {state.labels}")
+    if state.labels > IGNORE_LABEL:
+        raise ShapeError(
+            f"label maps hold at most {IGNORE_LABEL} classes (ids 0-{IGNORE_LABEL - 1}; "
+            f"{IGNORE_LABEL} is the ignore label), got {state.labels}"
+        )
     return LabelMap(np.argmax(state.q, axis=2).astype(np.uint8))
 
 
@@ -412,7 +429,7 @@ def _infer(unary, image, batch, iters, backend, filters, timer, q=None):
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     _check_image_size(image, unary)
     if iters == 0:
-        yield from [_softmax_rows(-unary.theta) if q is None else q] * len(batch)
+        yield from [_posterior(unary) if q is None else q] * len(batch)
         return
     params, (h, w, labels), n = batch[0], unary.theta.shape, unary.height * unary.width
     if filters is None:
@@ -431,7 +448,7 @@ def _infer(unary, image, batch, iters, backend, filters, timer, q=None):
         # a start belief per run, freed by its first update; K > 1 blocks
         # copy it, and the update never writes to its input
         start = time.perf_counter()
-        qk = _softmax_rows(-unary.theta) if q is None else q
+        qk = _posterior(unary) if q is None else q
         qk = qk.reshape(n, 1, labels).astype(dtype, copy=False)
         qk = np.broadcast_to(qk, (n, len(part), labels)).reshape(n, -1)
         _tick(timer, "init", start)
@@ -459,7 +476,7 @@ def energy(
         raise ValueError(f"labels must be < {unary.labels}")
     n = lab.size
     rows = np.arange(n)
-    theta_total = float(unary.theta.reshape(n, unary.labels)[rows, lab].sum())
+    theta_total = float(unary.theta.reshape(n, unary.labels)[rows, lab].astype(np.float64).sum())
     # With one-hot labels Y, (K Y)[i, l] is pixel i's kernel mass on label l;
     # the mass on the other labels, summed over i, counts each disagreeing
     # pair twice. The self term sits on the own label and drops out.
@@ -518,15 +535,15 @@ def grid_search(
     ranges: SearchRanges = SearchRanges(),
     iters: int = DEFAULT_ITERATIONS,
     backend: str = "lattice",
-    report: list | None = None,
-) -> PairwiseParams:
+) -> tuple[PairwiseParams, list[GridPoint]]:
     """Two-stage parameter search scored by mean IOU over the cases.
 
     Stage one scans the coarse grid; stage two rescans around the winner
     with halved steps and keeps the stage-one winner unless a candidate
     scores strictly better.  Ties resolve to the lexicographically
-    smallest (w1, sigma_alpha, sigma_beta), which the ascending scan
-    order plus strictly-better updates give for free.
+    smallest (w1, sigma_alpha, sigma_beta): points scan in ascending
+    order and the first of equal scores wins. Returns the winner and the
+    report, one GridPoint per scanned point in scan order.
 
     The pairwise filters depend on the kernel scales but not on w1, so each
     stage builds them once per case and (sigma_alpha, sigma_beta) pair and
@@ -537,64 +554,36 @@ def grid_search(
     cases = list(cases)
     if not cases:
         raise ValueError("grid search needs at least one validation case")
-    cache: dict[tuple, float] = {}
+    scores: dict[tuple, float] = {}
     spatial_cache: dict = {}
+    report: list[GridPoint] = []
 
-    def score_unscored(points) -> None:
-        totals = {point: 0.0 for point in points if point not in cache}
-        by_sigmas: dict[tuple, list[PairwiseParams]] = {}
-        for w1, sigma_alpha, sigma_beta in totals:
-            by_sigmas.setdefault((sigma_alpha, sigma_beta), []).append(
-                PairwiseParams(w1=w1, sigma_alpha=sigma_alpha, sigma_beta=sigma_beta)
-            )
-        for batch in by_sigmas.values():
+    def scan(stage: str, points: list[tuple], keep: tuple = ()) -> tuple:
+        groups: dict[tuple, list[tuple]] = {}
+        for point in points:
+            if point not in scores:
+                groups.setdefault(point[1:], []).append(point)
+        for group in groups.values():
+            batch = [PairwiseParams(*point) for point in group]
+            totals = [0.0] * len(batch)
             # Cases in manifest order, so each point's total sums as before;
             # one case's filters are dropped before the next case's are built.
             for unary, image, gt in cases:
                 filters = (PairwiseFilters(image, batch[0], backend, spatial_cache=spatial_cache)
                            if iters > 0 else None)
                 beliefs = _infer(unary, image, batch, iters, backend, filters, None)
-                for p, q in zip(batch, beliefs):
-                    totals[(p.w1, p.sigma_alpha, p.sigma_beta)] += mean_iou(
-                        confusion(labels_from_state(MeanFieldState(q)), gt, unary.labels)
-                    )
+                for k, q in enumerate(beliefs):
+                    totals[k] += mean_iou(
+                        confusion(labels_from_state(MeanFieldState(q)), gt, unary.labels))
                 del filters, beliefs
-        for point, total in totals.items():
-            cache[point] = total / len(cases)
+            scores.update((point, total / len(cases)) for point, total in zip(group, totals))
+        report.extend(GridPoint(stage, PairwiseParams(*point), scores[point]) for point in points)
+        # max keeps the first of equal scores, so `keep` wins ties
+        return max([*keep, *points], key=scores.__getitem__)
 
-    def scan(stage: str, points, best_point=None, best_score=-np.inf) -> tuple:
-        score_unscored(points)
-        for point in points:
-            value = cache[point]
-            if report is not None:
-                report.append(
-                    GridPoint(
-                        stage,
-                        PairwiseParams(
-                            w1=point[0], sigma_alpha=point[1], sigma_beta=point[2]
-                        ),
-                        value,
-                    )
-                )
-            if value > best_score:
-                best_point, best_score = point, value
-        return best_point
-
-    coarse = [
-        (a, b, c)
-        for a in ranges.w1
-        for b in ranges.sigma_alpha
-        for c in ranges.sigma_beta
-    ]
-    winner = scan("coarse", coarse)
-    refined = sorted(
-        {
-            (a, b, c)
-            for a in _refine_axis(ranges.w1, winner[0])
-            for b in _refine_axis(ranges.sigma_alpha, winner[1])
-            for c in _refine_axis(ranges.sigma_beta, winner[2])
-            if 0 <= a <= MAX_WEIGHT and b > 0 and c > 0
-        }
-    )
-    final = scan("refine", refined, best_point=winner, best_score=cache[winner])
-    return PairwiseParams(w1=final[0], sigma_alpha=final[1], sigma_beta=final[2])
+    axes = (ranges.w1, ranges.sigma_alpha, ranges.sigma_beta)
+    winner = scan("coarse", list(product(*axes)))
+    near = product(*(_refine_axis(axis, best) for axis, best in zip(axes, winner)))
+    refined = sorted(p for p in set(near) if 0 <= p[0] <= MAX_WEIGHT and p[1] > 0 and p[2] > 0)
+    best = scan("refine", refined, keep=(winner,))
+    return PairwiseParams(*best), report

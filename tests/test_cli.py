@@ -10,7 +10,16 @@ import pytest
 
 from denseseg import cli
 from denseseg.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, bench_scene, main
-from denseseg.core import LabelMap, read_pgm, read_tensor, write_pgm
+from denseseg.core import (
+    FeatureMap,
+    LabelMap,
+    RgbImage,
+    read_pgm,
+    read_tensor,
+    write_pgm,
+    write_ppm,
+    write_tensor,
+)
 from denseseg.densecrf import run_inference
 from denseseg.synth import make_instance
 
@@ -180,6 +189,29 @@ class TestRefine:
         err = capsys.readouterr().err
         assert ("w1 must be in [0, 1e+06]" in err) == (expected == EXIT_VALIDATION)
         assert "Traceback" not in err
+
+    def test_ignore_label_never_written(self, tmp_path, capsys):
+        """A 256-label unary whose top half prefers label 255, the ignore
+        id, is refused: refine and tune exit 2 and write no label map."""
+        theta = np.ones((4, 4, 256), np.float32)
+        theta[:2, :, 255] = 0.0
+        theta[2:, :, 1] = 0.0
+        write_tensor(FeatureMap(theta), str(tmp_path / "u.dlt"))
+        write_ppm(RgbImage(np.zeros((4, 4, 3), np.uint8)), str(tmp_path / "i.ppm"))
+        write_pgm(LabelMap(np.ones((4, 4), np.uint8)), str(tmp_path / "gt.pgm"))
+        out = tmp_path / "pred.pgm"
+        rc = run_cli("refine", "--unary", tmp_path / "u.dlt", "--image", tmp_path / "i.ppm",
+                     "--out", out, "--factor", 1)
+        assert rc == EXIT_VALIDATION
+        assert "255 is the ignore label" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{tmp_path / 'u.dlt'} {tmp_path / 'i.ppm'} {tmp_path / 'gt.pgm'}\n")
+        rc = run_cli("tune", "--manifest", manifest, "--iters", 1, "--w1-values", 3,
+                     "--sigma-alpha-values", 30, "--sigma-beta-values", 3)
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "255 is the ignore label" in captured.err and captured.out == ""
 
     def test_missing_input_exits_3(self, tmp_path):
         paths = synth_files(tmp_path)
@@ -377,6 +409,14 @@ class TestBench:
         rows = parse_csv(capsys.readouterr().out)
         times = {r[0]: float(r[1]) for r in rows[1:]}
         assert sum(v for k, v in times.items() if k != "total") <= times["total"]
+
+    @pytest.mark.parametrize("labels", [1, 0, -3])
+    def test_label_count_below_two_exits_2(self, capsys, labels):
+        rc = run_cli("bench", "--height", 16, "--width", 16, "--labels", labels,
+                     "--iters", 1)
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "labels" in captured.err and captured.out == ""
 
     def test_near_linear_scaling_in_pixels(self):
         def best_time(height):

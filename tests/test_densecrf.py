@@ -151,6 +151,46 @@ class TestUnaryField:
             UnaryField(t)
 
 
+class TestContainerDtypes:
+    """UnaryField and MeanFieldState keep a float32 array as it is and make
+    any other input float64."""
+
+    CONTAINERS = [(UnaryField, "theta"), (MeanFieldState, "q")]
+
+    @pytest.mark.parametrize("make,field", CONTAINERS)
+    def test_float32_shares_memory(self, make, field):
+        values = np.full((3, 4, 2), 0.5, np.float32)
+        got = getattr(make(values), field)
+        assert got.dtype == np.float32
+        assert np.shares_memory(got, values)
+
+    @pytest.mark.parametrize("make,field", CONTAINERS)
+    @pytest.mark.parametrize("values", [
+        np.full((3, 4, 2), 0.5),
+        np.eye(2, dtype=np.int64)[np.zeros((3, 4), np.int64)],
+        [[[0.5, 0.5], [1.0, 0.0]]],
+    ])
+    def test_other_inputs_become_float64(self, make, field, values):
+        got = getattr(make(values), field)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.asarray(values))
+
+    def test_start_belief_is_float64_for_float32_costs(self):
+        theta = np.random.default_rng(3).normal(scale=5.0, size=(4, 5, 3))
+        wide = init_state(UnaryField(theta.astype(np.float32).astype(np.float64)))
+        narrow = init_state(UnaryField(theta.astype(np.float32)))
+        assert narrow.q.dtype == np.float64
+        assert np.array_equal(narrow.q, wide.q)
+
+    @pytest.mark.parametrize("backend,dtype", [("lattice", np.float32),
+                                               ("exact", np.float64)])
+    def test_inference_state_dtype_follows_backend(self, backend, dtype):
+        rng = np.random.default_rng(4)
+        unary = unary_from_probs(random_posterior(rng, 6, 7, 3))
+        state, _ = run_inference(unary, random_image(rng, 6, 7), iters=2, backend=backend)
+        assert state.q.dtype == dtype
+
+
 class TestMeanFieldState:
     def test_rows_must_normalize(self):
         q = np.full((2, 2, 2), 0.4)
@@ -398,7 +438,7 @@ class TestMeanFieldStep:
                                               ("lattice", 72)])
     def test_iterated_steps_reproduce_inference(self, backend, size, threads):
         """A caller iterating mean_field_step from init_state replays
-        run_inference: same labels, beliefs within 1e-6. 72x72 is above
+        run_inference bit for bit, in the same dtype. 72x72 is above
         EXACT_MASS_MAX_PIXELS, where the lattice's own bilateral mass
         stands in."""
         rng = np.random.default_rng(size)
@@ -413,7 +453,8 @@ class TestMeanFieldStep:
             state = mean_field_step(state, unary, image, params, backend,
                                     filters=filters, threads=threads)
         assert np.array_equal(labels_from_state(state).labels, want_labels.labels)
-        assert np.abs(state.q - want_state.q).max() <= 1e-6
+        assert state.q.dtype == want_state.q.dtype
+        assert np.array_equal(state.q, want_state.q)
 
     def test_rows_stay_normalized(self):
         rng = np.random.default_rng(21)
@@ -554,9 +595,15 @@ class TestLabelsAndInference:
         assert out.labels.tolist() == [[0, 1]]
 
     def test_too_many_labels_rejected(self):
-        q = np.full((1, 1, 300), 1.0 / 300.0)
-        with pytest.raises(ShapeError):
+        """A 256th label would take id 255, the ignore label."""
+        q = np.full((1, 1, 256), 1.0 / 256.0)
+        with pytest.raises(ShapeError, match="255 is the ignore label"):
             labels_from_state(MeanFieldState(q))
+
+    def test_255_labels_accepted(self):
+        q = np.full((1, 2, 255), 0.5 / 254)
+        q[..., -1] = 0.5
+        assert labels_from_state(MeanFieldState(q)).labels.tolist() == [[254, 254]]
 
     def test_zero_iterations_returns_unary_argmax(self):
         rng = np.random.default_rng(5)
@@ -610,6 +657,14 @@ class TestEnergy:
         labels = LabelMap(np.full((4, 5), 2, np.uint8))
         got = energy(labels, unary, image, PairwiseParams())
         assert got == pytest.approx(float(theta[:, :, 2].sum()), rel=1e-12)
+
+    def test_float32_costs_sum_in_float64(self):
+        rng = np.random.default_rng(13)
+        theta = rng.normal(scale=1e3, size=(6, 7, 3)).astype(np.float32)
+        image = random_image(rng, 6, 7)
+        labels = LabelMap(rng.integers(0, 3, (6, 7)).astype(np.uint8))
+        want = energy(labels, UnaryField(theta.astype(np.float64)), image, PairwiseParams())
+        assert energy(labels, UnaryField(theta), image, PairwiseParams()) == want
 
     def test_single_pixel_energy(self):
         unary = UnaryField(np.array([[[1.5, -0.5]]]))
@@ -728,10 +783,10 @@ class TestGridSearch:
     @pytest.mark.parametrize("backend", ["exact", "lattice"])
     def test_shared_filters_match_per_point_search(self, backend, iters):
         cases = [split_case(1, 3.0), cropped_case(2, 3.0), split_case(4, 3.0)]
-        want_report, got_report = [], []
+        want_report = []
         want = grid_search_per_point(cases, SHARED_RANGES, iters, backend, want_report)
-        got = grid_search(cases, ranges=SHARED_RANGES, iters=iters, backend=backend,
-                          report=got_report)
+        got, got_report = grid_search(cases, ranges=SHARED_RANGES, iters=iters,
+                                      backend=backend)
         assert got == want
         assert got_report == want_report
         assert {p.stage for p in got_report} == {"coarse", "refine"}
@@ -752,8 +807,8 @@ class TestGridSearch:
         case = (unary_from_probs(random_posterior(rng, 4, 5, 2)), random_image(rng, 4, 5),
                 LabelMap(np.ones((4, 5), np.uint8)))
         ranges = SearchRanges(w1=(3.0, MAX_WEIGHT), sigma_alpha=(30.0,), sigma_beta=(4.0,))
-        report = []
-        assert grid_search([case], ranges=ranges, iters=1, report=report).w1 == MAX_WEIGHT
+        best, report = grid_search([case], ranges=ranges, iters=1)
+        assert best.w1 == MAX_WEIGHT
         refined = [p.params.w1 for p in report if p.stage == "refine"]
         assert refined and max(refined) == MAX_WEIGHT
 
@@ -774,9 +829,7 @@ class TestGridSearch:
         monkeypatch.setattr(densecrf, "PairwiseFilters", CountingFilters)
         monkeypatch.setattr(densecrf, "PermutohedralLattice", CountingLattice)
         cases = [split_case(1), cropped_case(2), split_case(3)]
-        report = []
-        grid_search(cases, ranges=SHARED_RANGES, iters=2, backend="lattice",
-                    report=report)
+        _, report = grid_search(cases, ranges=SHARED_RANGES, iters=2, backend="lattice")
         points = {
             stage: {(p.params.w1, p.params.sigma_alpha, p.params.sigma_beta)
                     for p in report if p.stage == stage}
@@ -803,10 +856,8 @@ class TestGridSearch:
             SearchRanges(sigma_alpha=(40.0, 30.0))
 
     def test_single_point_ranges_echoed(self):
-        report = []
         ranges = SearchRanges(w1=(2.0,), sigma_alpha=(50.0,), sigma_beta=(4.0,))
-        best = grid_search([split_case(0)], ranges=ranges, iters=2,
-                           backend="exact", report=report)
+        best, report = grid_search([split_case(0)], ranges=ranges, iters=2, backend="exact")
         assert (best.w1, best.sigma_alpha, best.sigma_beta) == (2.0, 50.0, 4.0)
         assert [p.stage for p in report] == ["coarse", "refine"]
 
@@ -822,8 +873,7 @@ class TestGridSearch:
         p[gt == 0, 0] = 0.999
         p[gt == 1, 1] = 0.999
         case = (unary_from_probs(p), RgbImage(img), LabelMap(gt))
-        report = []
-        best = grid_search([case], iters=5, backend="exact", report=report)
+        best, report = grid_search([case], iters=5, backend="exact")
         assert (best.w1, best.sigma_alpha, best.sigma_beta) == (3.0, 30.0, 3.0)
         assert sum(p.stage == "coarse" for p in report) == 128
         assert all(p.score == 1.0 for p in report)
@@ -832,9 +882,7 @@ class TestGridSearch:
         cases = [split_case(s) for s in (1, 2)]
         ranges = SearchRanges(w1=(1.0, 2.0), sigma_alpha=(30.0, 40.0),
                               sigma_beta=(3.0, 4.0))
-        report = []
-        best = grid_search(cases, ranges=ranges, iters=3, backend="lattice",
-                           report=report)
+        best, report = grid_search(cases, ranges=ranges, iters=3, backend="lattice")
         coarse = [p.score for p in report if p.stage == "coarse"]
         by_point = {
             (p.params.w1, p.params.sigma_alpha, p.params.sigma_beta): p.score
@@ -844,10 +892,8 @@ class TestGridSearch:
         assert final >= max(coarse)
 
     def test_fixed_params_stay_fixed(self):
-        report = []
         ranges = SearchRanges(w1=(1.0,), sigma_alpha=(40.0,), sigma_beta=(4.0,))
-        best = grid_search([split_case(3)], ranges=ranges, iters=1,
-                           backend="exact", report=report)
+        best, report = grid_search([split_case(3)], ranges=ranges, iters=1, backend="exact")
         assert best.w2 == 3.0 and best.sigma_gamma == 3.0
         assert all(p.params.w2 == 3.0 for p in report)
 

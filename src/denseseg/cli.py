@@ -47,13 +47,8 @@ def _fmt(value: float) -> str:
 
 
 def _params_from_args(args) -> PairwiseParams:
-    return PairwiseParams(
-        w1=args.w1,
-        sigma_alpha=args.sigma_alpha,
-        sigma_beta=args.sigma_beta,
-        w2=args.w2,
-        sigma_gamma=args.sigma_gamma,
-    )
+    return PairwiseParams(w1=args.w1, sigma_alpha=args.sigma_alpha, sigma_beta=args.sigma_beta,
+                          w2=args.w2, sigma_gamma=args.sigma_gamma)
 
 
 def _add_common(parser) -> None:
@@ -143,13 +138,8 @@ def cmd_refine(args) -> int:
             f"{image.height}x{image.width}; check --factor"
         )
     unary = UnaryField(upsample_bilinear(fm, args.factor).data)
-    state, labels = run_inference(
-        unary,
-        image,
-        _params_from_args(args),
-        iters=args.iters,
-        backend=args.backend,
-    )
+    state, labels = run_inference(unary, image, _params_from_args(args), iters=args.iters,
+                                  backend=args.backend)
     write_pgm(labels, args.out)
     if args.q_out:
         write_tensor(FeatureMap(state.q), args.q_out)
@@ -275,29 +265,18 @@ def bench_scene(height: int, width: int, labels: int, seed: int) -> SceneSpec:
                     Disk(label=label, row=row, col=col, radius=float(radius),
                          color=color, jitter=6.0)
                 )
-    return SceneSpec(
-        height=height,
-        width=width,
-        shapes=tuple(shapes),
-        background=(30, 30, 30),
-        blur=2,
-        noise_sigma=1.0,
-        seed=seed,
-    )
+    return SceneSpec(height=height, width=width, shapes=tuple(shapes), background=(30, 30, 30),
+                     blur=2, noise_sigma=1.0, seed=seed)
 
 
 def cmd_bench(args) -> int:
+    if args.labels < 2:
+        raise ValueError(f"--labels must be at least 2, got {args.labels}")
     spec = bench_scene(args.height, args.width, args.labels, args.seed)
     unary, image, _ = make_instance(spec, num_labels=args.labels)
     timer: dict = {}
     start = time.perf_counter()
-    run_inference(
-        unary,
-        image,
-        iters=args.iters,
-        backend="lattice",
-        timer=timer,
-    )
+    run_inference(unary, image, iters=args.iters, backend="lattice", timer=timer)
     total = time.perf_counter() - start
     lines = ["stage,seconds"]
     for stage in ("build", "init", "splat", "blur", "slice", "update", "finish"):

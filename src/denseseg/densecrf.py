@@ -9,30 +9,28 @@ renormalize per pixel with a softmax.
 
 Two interchangeable filtering backends implement the kernel sums: "exact"
 evaluates all pairs in float64 and is the correctness reference; "lattice"
-routes the same sums through the permutohedral approximation and is the
-one that scales to real images.
+routes the same sums through the permutohedral approximation, calibrated by
+one rule at every image size, and is the one that scales to real images.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .core import LabelMap, RgbImage, ShapeError
-from .hdfilter import FeaturePoints, PermutohedralLattice, _tick, gaussian_filter_exact
+from .hdfilter import (FeaturePoints, PermutohedralLattice, _tick, gaussian_filter_exact,
+                       sampled_mass_gain)
 from .metrics import IGNORE_LABEL, confusion, mean_iou
 
 PROB_CLAMP = 1e-20
 BACKENDS = ("exact", "lattice")
 
-# Largest pixel count for which all-pairs O(n^2) work is done: the exact
-# backend refuses larger images, and the lattice backend computes the
-# bilateral kernel's row masses exactly up to it (one all-pairs pass at
-# filter-build time). Above this the lattice's own mass estimate is used.
+# Largest image the exact backend takes: its O(n^2) all-pairs filtering runs
+# twice per iteration.
 EXACT_MASS_MAX_PIXELS = 4096
 
 # Most belief entries (pixels x w1 values x labels) one lattice mean-field run
@@ -256,21 +254,17 @@ def _filter(structure, values: np.ndarray, timer: dict | None) -> np.ndarray:
 class PairwiseFilters:
     """Kernel filtering structures for one image, backend and kernel scales.
 
-    Feature geometry never changes across iterations, so the structures are
-    built once and reused. They depend on sigma_alpha, sigma_beta and
-    sigma_gamma but not on the weights w1 and w2, so one instance serves
-    every weight setting; `require` guards against silently filtering with
-    a cache built for a different image, backend or kernel scale. The
-    spatial kernel depends only on the image size, sigma_gamma and backend;
-    a `spatial_cache` dict keyed by those shares it between instances.
+    The structures depend on sigma_alpha, sigma_beta and sigma_gamma but not
+    on w1 and w2, so one instance serves every weight setting; `require`
+    refuses a cache built for another image, backend or kernel scale. A
+    `spatial_cache` dict keyed by image size, sigma_gamma and backend shares
+    the spatial kernel between instances.
 
-    The lattice path does not emit raw lattice output: the raw kernel has a
-    point-dependent gain (and a badly shrunk self-coefficient), so each
-    lattice calibrates its slice to scale every output row by
-    true_row_mass / lattice_row_mass. The true mass is exact for the spatial
-    kernel at any size (separability) and exact for the bilateral kernel up
-    to EXACT_MASS_MAX_PIXELS pixels, beyond which the lattice's own estimate
-    stands in, a gain of one.
+    The raw lattice undercounts the true row mass, so each lattice scales
+    its output by true mass / lattice mass, by one rule at every image size:
+    per point on the spatial kernel, whose exact masses are cheap and lower
+    at the borders, and by one sampled scalar on the bilateral kernel
+    (hdfilter.sampled_mass_gain). No all-pairs pass runs.
     """
 
     def __init__(
@@ -283,8 +277,7 @@ class PairwiseFilters:
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         h, w = image.height, image.width
-        n = h * w
-        if backend == "exact" and n > EXACT_MASS_MAX_PIXELS:
+        if backend == "exact" and h * w > EXACT_MASS_MAX_PIXELS:
             raise ValueError(
                 f"--backend exact is capped at {EXACT_MASS_MAX_PIXELS} pixels "
                 f"(got {h}x{w}); use --backend lattice"
@@ -294,16 +287,14 @@ class PairwiseFilters:
         self.shape = (h, w)
         self._pixels = image.data
         bilateral = bilateral_features(image, params.sigma_alpha, params.sigma_beta)
-        small = backend == "lattice" and n <= EXACT_MASS_MAX_PIXELS
-        true_mass = partial(gaussian_filter_exact, np.ones(n), bilateral) if small else None
-        self.bilateral = (bilateral if backend == "exact"
-                          else PermutohedralLattice(bilateral, true_mass))
+        self.bilateral = bilateral if backend == "exact" else PermutohedralLattice(
+            bilateral, lambda mass: sampled_mass_gain(bilateral, mass))
         cache = {} if spatial_cache is None else spatial_cache
         key = (h, w, params.sigma_gamma, backend)
         if key not in cache:
             spatial = spatial_features(h, w, params.sigma_gamma)
             cache[key] = spatial if backend == "exact" else PermutohedralLattice(
-                spatial, partial(_spatial_row_masses, h, w, params.sigma_gamma))
+                spatial, lambda mass: _spatial_row_masses(h, w, params.sigma_gamma) / mass)
         self.spatial = cache[key]
 
     def filter_bilateral(self, values: np.ndarray, timer: dict | None = None) -> np.ndarray:
@@ -379,13 +370,16 @@ def mean_field_step(
     return MeanFieldState(next(_infer(unary, image, [params], 1, backend, filters, timer, state.q)))
 
 
+def _check_label_count(labels: int) -> None:
+    """Label maps hold ids below IGNORE_LABEL, the ignore label."""
+    if labels > IGNORE_LABEL:
+        raise ShapeError(f"label maps hold at most {IGNORE_LABEL} classes (ids 0-"
+                         f"{IGNORE_LABEL - 1}; {IGNORE_LABEL} is the ignore label), got {labels}")
+
+
 def labels_from_state(state: MeanFieldState) -> LabelMap:
     """Per-pixel argmax of the belief; ties go to the lowest label index."""
-    if state.labels > IGNORE_LABEL:
-        raise ShapeError(
-            f"label maps hold at most {IGNORE_LABEL} classes (ids 0-{IGNORE_LABEL - 1}; "
-            f"{IGNORE_LABEL} is the ignore label), got {state.labels}"
-        )
+    _check_label_count(state.labels)
     return LabelMap(np.argmax(state.q, axis=2).astype(np.uint8))
 
 
@@ -402,6 +396,7 @@ def run_inference(
     iters=0 returns the posterior itself, so the label map degenerates to
     the unary argmax.
     """
+    _check_label_count(unary.labels)
     batch = [params or PairwiseParams()]
     q = next(_infer(unary, image, batch, iters, backend, None, timer))
     start = time.perf_counter()
@@ -554,6 +549,8 @@ def grid_search(
     cases = list(cases)
     if not cases:
         raise ValueError("grid search needs at least one validation case")
+    for unary, _, _ in cases:
+        _check_label_count(unary.labels)
     scores: dict[tuple, float] = {}
     spatial_cache: dict = {}
     report: list[GridPoint] = []

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from denseseg import cli
+from denseseg import cli, densecrf
 from denseseg.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, bench_scene, main
 from denseseg.core import (
     FeatureMap,
@@ -190,9 +190,14 @@ class TestRefine:
         assert ("w1 must be in [0, 1e+06]" in err) == (expected == EXIT_VALIDATION)
         assert "Traceback" not in err
 
-    def test_ignore_label_never_written(self, tmp_path, capsys):
+    def test_ignore_label_never_written(self, tmp_path, capsys, monkeypatch):
         """A 256-label unary whose top half prefers label 255, the ignore
-        id, is refused: refine and tune exit 2 and write no label map."""
+        id, is refused before inference: refine and tune exit 2 and write no
+        label map."""
+        def no_inference(*args, **kwargs):
+            raise AssertionError("inference ran on a unary the label map cannot hold")
+
+        monkeypatch.setattr(densecrf, "_infer", no_inference)
         theta = np.ones((4, 4, 256), np.float32)
         theta[:2, :, 255] = 0.0
         theta[2:, :, 1] = 0.0
@@ -416,7 +421,8 @@ class TestBench:
                      "--iters", 1)
         assert rc == EXIT_VALIDATION
         captured = capsys.readouterr()
-        assert "labels" in captured.err and captured.out == ""
+        assert f"--labels must be at least 2, got {labels}" in captured.err
+        assert captured.out == ""
 
     def test_near_linear_scaling_in_pixels(self):
         def best_time(height):

@@ -22,8 +22,8 @@ from itertools import product
 import numpy as np
 
 from .core import LabelMap, RgbImage, ShapeError
-from .hdfilter import (FeaturePoints, PermutohedralLattice, _tick, gaussian_filter_exact,
-                       sampled_mass_gain)
+from .hdfilter import (EXACT_STRIP_ROWS, FeaturePoints, PermutohedralLattice, _tick,
+                       gaussian_filter_exact, sampled_mass_gain)
 from .metrics import IGNORE_LABEL, confusion, mean_iou
 
 PROB_CLAMP = 1e-20
@@ -234,12 +234,17 @@ def _spatial_row_masses(height: int, width: int, sigma_gamma: float) -> np.ndarr
     """Exact per-pixel sums of the spatial kernel over the whole grid.
 
     The kernel separates over rows and columns, so the full (n x n) row sum
-    is an outer product of two small 1-d mass vectors.
+    is an outer product of two 1-d mass vectors. Each is summed in blocks of
+    rows, so scratch grows with the side, not its square; a row's sum is
+    the same as over the whole (side x side) matrix.
     """
     def axis_mass(n: int) -> np.ndarray:
         pos = np.arange(n, dtype=np.float64) / sigma_gamma
-        d = pos[:, None] - pos[None, :]
-        return np.exp(-0.5 * d * d).sum(axis=1)
+        mass = np.empty(n)
+        for lo in range(0, n, EXACT_STRIP_ROWS):
+            d = pos[lo:lo + EXACT_STRIP_ROWS, None] - pos[None, :]
+            mass[lo:lo + EXACT_STRIP_ROWS] = np.exp(-0.5 * d * d).sum(axis=1)
+        return mass
 
     return np.outer(axis_mass(height), axis_mass(width)).reshape(-1)
 

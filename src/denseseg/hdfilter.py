@@ -168,6 +168,13 @@ class PermutohedralLattice:
     constraint), and ``blur_n1``/``blur_n2`` the neighbor ids along each of
     the d+1 blur directions.
 
+    A built lattice keeps, per point, its float64 ``barycentric`` row, its
+    int32 vertex ids (``offsets`` is a view of the splat matrix's indices,
+    which the slice matrix shares) and the float32 splat and slice weights:
+    20 bytes per point corner. Per vertex it keeps ``vertex_keys``, the
+    int64 neighbour ids and one sparse matrix per blur direction. The build's
+    scratch is freed when it returns.
+
     ``calibrate``, if given, maps the lattice's own (n,) float64 row masses
     to the gain the slice applies: one scalar, or one per point. That gain,
     float32, is then ``gain``, else None.
@@ -187,7 +194,12 @@ class PermutohedralLattice:
             self._slice.data = (self.barycentric * gain[..., None]).astype(np.float32).ravel()
 
     def _build(self, feats: FeaturePoints) -> float:
-        """Geometry, splat, blur and uncalibrated slice; returns the slice's alpha."""
+        """Geometry, splat, blur and uncalibrated slice; returns the slice's alpha.
+
+        Scratch is a few (d+1, n) buffers, each dropped once used. Points
+        are grouped by enclosing simplex first, so vertex keys are spelled
+        out once per simplex, not once per point.
+        """
         n, d = feats.n, feats.d
         dp1 = d + 1
         # keys stay consistent below 2^40 embedded units, at most d (d+1) |feature|
@@ -199,50 +211,65 @@ class PermutohedralLattice:
         elevated = _elevate(feats.coords)  # (d+1, n), columns sum to 0
 
         # Nearest zero-remainder point along each coordinate (ties go down).
-        v = elevated / dp1
-        up = np.ceil(v) * dp1
-        down = np.floor(v) * dp1
-        rem0 = np.where(up - elevated < elevated - down, up, down)
+        # Two work buffers: the upper candidate, and the gap elevated - rem0
+        # to the lower one, moved to the upper one where that is nearer.
+        rem0 = elevated / dp1
+        up = np.ceil(rem0)
+        up *= dp1
+        np.floor(rem0, out=rem0)
+        rem0 *= dp1
+        gap = elevated - rem0
+        pick_up = np.empty((dp1, n), dtype=bool)
+        for i in range(dp1):
+            np.less(up[i] - elevated[i], gap[i], out=pick_up[i])
+        np.copyto(rem0, up, where=pick_up)
+        np.subtract(elevated, up, out=gap, where=pick_up)
+        del up, pick_up
         # rem0 holds multiples of d+1 below 2^44, so any summation order is exact
-        coord_sums = np.rint(rem0.sum(axis=0) / dp1).astype(np.int64)
+        coord_sums = np.rint(rem0.sum(axis=0) / dp1)
 
         # rank[i] = how many coordinates exceed coordinate i (ties to the earlier
         # index), counted by pairwise comparison as in the reference lattice
-        # code, then shifted back onto the canonical simplex range.
-        gap = elevated - rem0
-        rank_t = np.zeros((dp1, n), dtype=np.int64)
+        # code, then shifted back onto the canonical simplex range. Shifted
+        # ranks lie in [-d, 2d], so a narrow signed type holds them.
+        rank = np.zeros((dp1, n), dtype=np.min_scalar_type(-2 * d - 1))
         for i in range(dp1):
             for k in range(i + 1, dp1):
                 k_first = gap[k] > gap[i]
-                rank_t[i] += k_first
-                rank_t[k] += ~k_first
-        rank_t += coord_sums
-        wrap = dp1 * ((rank_t < 0).astype(np.int64) - (rank_t > d))
-        rank_t += wrap
+                rank[i] += k_first
+                rank[k] += ~k_first
+        rank += coord_sums.astype(rank.dtype)
+        wrap = dp1 * ((rank < 0).astype(rank.dtype) - (rank > d))
+        rank += wrap
         # only where it moves, so rem0 keeps the signs of its zeros
         np.add(rem0, wrap, out=rem0, where=wrap != 0)
-        rank = rank_t.T
-        # flat index of each (point, rank) cell in a C-ordered (n, d+1) array
-        by_rank_at = rank + np.arange(0, n * dp1, dp1)[:, None]
+        del coord_sums, wrap
 
         # Barycentric weights from the fractional remainders in rank order
         # (rem0 may have moved in the wraparound fix above): vertex k gets
         # s[d - k] - s[d + 1 - k], and vertex 0 also the wrapped 1 - s[0].
-        by_rank = np.empty((n, dp1))
-        by_rank.reshape(-1)[by_rank_at] = ((elevated - rem0) / dp1).T
-        rev = by_rank[:, ::-1]
-        bary = np.empty_like(by_rank)
-        np.subtract(rev[:, 1:], rev[:, :-1], out=bary[:, 1:])
-        bary[:, 0] = by_rank[:, d] + (1.0 - by_rank[:, 0])
+        frac = np.subtract(elevated, rem0, out=gap)
+        frac /= dp1
+        rem0_int = np.rint(rem0[:d]).astype(np.int64)
+        del elevated, rem0
+        by_rank = np.empty_like(frac)
+        points = np.arange(n)
+        for i in range(dp1):
+            by_rank[rank[i], points] = frac[i]
+        del frac, gap
+        bary = np.empty((n, dp1))
+        np.subtract(by_rank[d - 1::-1], by_rank[:0:-1], out=bary.T[1:])
+        bary[:, 0] = by_rank[d] + (1.0 - by_rank[0])
+        del by_rank
         self.barycentric = bary
 
         # Vertex r of a point has key rem0 + r in each stored coordinate,
         # less d+1 where rank + r > d; over r, coordinate j spans
         # [rem0_j - rank_j, rem0_j - rank_j + d].
-        rem0_int = np.rint(rem0[:d].T).astype(np.int64)
-        lowest = rem0_int - rank[:, :d]
-        key_min = lowest.min(axis=0)
-        key_range = lowest.max(axis=0) + d - key_min
+        lowest = rem0_int - rank[:d]
+        key_min = lowest.min(axis=1)
+        key_range = lowest.max(axis=1) + d - key_min
+        del lowest
         # Blur direction j moves a key by -+(1 - (d+1) e_j) in the stored
         # coordinates (the implied last one has no e_j).
         step = dp1 * np.eye(dp1, d, dtype=np.int64) - 1
@@ -254,30 +281,62 @@ class PermutohedralLattice:
         self._packable = int(bits.sum()) <= 63
         if self._packable:
             shifts = np.concatenate([np.cumsum(bits[::-1])[::-1][1:], [0]])
+            home = np.zeros(n, dtype=np.int64)  # rem0 packed, one field at a time
+            for j in range(d):
+                home += (rem0_int[j] - key_min[j]) << shifts[j]
+            key = home
+        else:
+            key = np.unique(rem0_int.T, axis=0, return_inverse=True)[1]
+
+        # A simplex is its home vertex (packed key or dense id) and the ranks
+        # of the first d coordinates (the last is implied), folded into one
+        # int64 key; the key is renumbered densely whenever the next digit
+        # could overflow. One point stands for each simplex.
+        bound = int(key.max()) + 1
+        for i in range(d):
+            if bound * dp1 >= 2**63:
+                key = np.unique(key, return_inverse=True)[1]
+                bound = int(key.max()) + 1
+            key = key * dp1 + rank[i]
+            bound *= dp1
+        simplex = np.unique(key, return_inverse=True)[1]
+        del key
+        num_simplices = simplex.max() + 1
+        members = np.empty(num_simplices, dtype=np.intp)
+        members[simplex] = points
+        del points
+        rank_s = rank[:, members]
+        del rank
+
+        if self._packable:
             # Vertex 0 is rem0 itself; vertex r adds one to every column and
             # wraps the column of rank d + 1 - r (the implied last column
             # has no field).
             unit = np.append(1 << shifts, 0)
-            unit_by_rank = np.empty((n, dp1), dtype=np.int64)
-            unit_by_rank.reshape(-1)[by_rank_at] = unit
-            packed = np.empty((n, dp1), dtype=np.int64)
-            packed[:, 0] = (rem0_int - key_min) @ unit[:d]
+            unit_by_rank = np.empty((num_simplices, dp1), dtype=np.int64)
+            rows = np.arange(num_simplices)
+            for i in range(dp1):
+                unit_by_rank[rows, rank_s[i]] = unit[i]
+            packed = np.empty((num_simplices, dp1), dtype=np.int64)
+            packed[:, 0] = home[members]
             packed[:, 1:] = unit.sum() - dp1 * unit_by_rank[:, :0:-1]
             np.cumsum(packed, axis=1, out=packed)
             table, inverse = np.unique(packed.reshape(-1), return_inverse=True)
             self.vertex_keys = ((table[:, None] >> shifts) & ((1 << bits) - 1)) + key_min
             base, moves = table, step @ unit[:d]
         else:
-            keys = np.stack(
-                [rem0_int + r - dp1 * (rank[:, :d] > d - r) for r in range(dp1)], axis=1
-            )
+            home_s, rank_s = rem0_int[:, members].T, rank_s[:d].T
+            keys = np.stack([home_s + r - dp1 * (rank_s > d - r) for r in range(dp1)], axis=1)
             self.vertex_keys, inverse = np.unique(
                 keys.reshape(-1, d), axis=0, return_inverse=True
             )
             table = _byte_rows(self.vertex_keys)  # sorted, as np.unique left them
             base, moves = self.vertex_keys, step
+        del rem0_int
         self.num_vertices = len(self.vertex_keys)
-        self.offsets = inverse.reshape(n, dp1) + 1
+        # vertex ids per simplex, then per point in rank order
+        vertex_ids = (inverse.reshape(-1, dp1) + 1).astype(np.int32)[simplex]
+        del inverse, simplex
 
         self.blur_n1 = np.zeros((dp1, self.num_vertices + 1), dtype=np.int64)
         self.blur_n2 = np.zeros((dp1, self.num_vertices + 1), dtype=np.int64)
@@ -299,15 +358,17 @@ class PermutohedralLattice:
         # Gain restoring the halved blur mass over d+1 passes, times the
         # classic correction matching the lattice kernel to the unit Gaussian.
         alpha = float(2 ** (dp1)) / (1.0 + 2.0 ** (-d))
-        # Vertex ids per point in rank order, stored once: the splat is their
-        # (V+1, n) CSC matrix of float32 weights (each vertex sums in point
-        # order), the slice the (n, V+1) CSR of alpha * gain * weight.
+        # Vertex ids per point in rank order, stored once as the splat's
+        # indices and seen as `offsets`: the splat is their (V+1, n) CSC
+        # matrix of float32 weights (each vertex sums in point order), the
+        # slice the (n, V+1) CSR of alpha * gain * weight.
         indptr = np.arange(0, n * dp1 + 1, dp1)
         self._splat = scipy.sparse.csc_matrix(
-            (bary.astype(np.float32).ravel(), self.offsets.ravel(), indptr), shape=(m, n))
+            (bary.astype(np.float32).ravel(), vertex_ids.ravel(), indptr), shape=(m, n))
+        self.offsets = self._splat.indices.reshape(n, dp1)
+        slice_weights = np.multiply(bary, alpha, out=np.empty((n, dp1), np.float32))
         self._slice = scipy.sparse.csr_matrix(
-            ((bary * alpha).astype(np.float32).ravel(), self._splat.indices, self._splat.indptr),
-            shape=(n, m))
+            (slice_weights.ravel(), self._splat.indices, self._splat.indptr), shape=(n, m))
         return alpha
 
     def filter(self, values, timer: dict | None = None) -> np.ndarray:

@@ -67,6 +67,17 @@ def gaussian_filter_bruteforce(values: np.ndarray, feats: np.ndarray) -> np.ndar
     return out
 
 
+def spatial_row_masses_full_matrix(height: int, width: int, sigma_gamma: float) -> np.ndarray:
+    """Per-pixel spatial kernel masses from whole (side x side) difference
+    matrices per axis, each row summed by numpy, as an outer product."""
+    def axis_mass(n):
+        pos = np.arange(n, dtype=np.float64) / sigma_gamma
+        d = pos[:, None] - pos[None, :]
+        return np.exp(-0.5 * d * d).sum(axis=1)
+
+    return np.outer(axis_mass(height), axis_mass(width)).reshape(-1)
+
+
 def confusion_bruteforce(pred, gt, num_labels, mask=None):
     """Per-pixel tally with explicit loops; 255 in either map is skipped."""
     counts = np.zeros((num_labels, num_labels), dtype=np.int64)

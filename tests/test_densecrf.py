@@ -1,6 +1,7 @@
 """Mean-field refinement: state handling, updates, energy, parameter search."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -53,6 +54,7 @@ from oracles import (
     meanfield_update_total_minus_own,
     meanfield_update_whole_array,
     softmax_rows_whole_array,
+    spatial_row_masses_full_matrix,
 )
 
 SCENE_COLORS = np.array(
@@ -1019,6 +1021,28 @@ class TestBilateralRowMasses:
                          / lattice_mass[rows].astype(np.float64))
         got = PairwiseFilters(image, params, "lattice").bilateral.gain
         assert abs(got / want - 1.0) <= np.finfo(np.float32).eps
+
+
+class TestSpatialRowMasses:
+    @pytest.mark.parametrize("sigma_gamma", [0.5, 3.0, 40.0])
+    def test_blocks_match_the_full_matrix(self, sigma_gamma):
+        """Summed in blocks of rows, each mass is bit-identical to the whole
+        difference matrix's row sum, on sides either side of a block."""
+        for height, width in ((1, 1), (5, 63), (64, 65), (129, 2), (3, 200)):
+            want = spatial_row_masses_full_matrix(height, width, sigma_gamma)
+            assert np.array_equal(_spatial_row_masses(height, width, sigma_gamma), want)
+
+    def test_scratch_grows_with_the_side_not_its_square(self):
+        """A 1x4000 image: the whole-matrix sum traced 384 MB."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            _spatial_row_masses(1, 4000, 3.0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
 
 class TestCalibratedSlice:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +12,16 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from denseseg import hdfilter
+from denseseg.cli import bench_scene
 from denseseg.core import RgbImage, ShapeError
-from denseseg.densecrf import bilateral_features
+from denseseg.densecrf import PairwiseParams, bilateral_features, spatial_features
 from denseseg.hdfilter import (
     FeaturePoints,
     PermutohedralLattice,
     gaussian_filter_exact,
     lattice_filter_normalized,
 )
+from denseseg.synth import render_scene
 from oracles import (
     gaussian_filter_bruteforce,
     lattice_embed_reference,
@@ -40,6 +43,27 @@ def edge_points(draw):
     wide = 2.0**38 / (d * (d + 1) * span)
     unit = draw(st.sampled_from([1.0, 0.5, 1.0 / 3.0, 1.0 / (d + 1), 0.37, wide]))
     return np.array(rows, dtype=np.float64) * unit
+
+
+def grid_with_flat_halves(d, far):
+    """A 45x60 pixel grid at sigma 6 in the first min(d, 2) dimensions and
+    flat in the others, with the right half `far` away in the last one:
+    2,700 points on at most 572 simplices. A far of 3e9 takes the wide-key
+    path for d >= 2."""
+    rows, cols = np.mgrid[0:45, 0:60]
+    pts = np.zeros((rows.size, d))
+    pts[:, 0] = cols.ravel() / 6.0
+    if d > 1:
+        pts[:, 1] = rows.ravel() / 6.0
+    pts[cols.ravel() >= 30, -1] += far
+    return pts
+
+
+def assert_matches_direct_construction(lat, pts):
+    offsets, bary, keys, n1, n2 = lattice_embed_reference(pts)
+    for got, want in ((lat.offsets, offsets), (lat.barycentric, bary),
+                      (lat.vertex_keys, keys), (lat.blur_n1, n1), (lat.blur_n2, n2)):
+        assert np.array_equal(got, want)
 
 
 def cluster(rng, n, d, spread=1.0, center=None):
@@ -279,6 +303,74 @@ class TestLatticeStructure:
         assert np.array_equal(lat.vertex_keys, keys)
         assert np.array_equal(lat.blur_n1, n1)
         assert np.array_equal(lat.blur_n2, n2)
+
+    @pytest.mark.parametrize("d, far", [(1, 0.0), (2, 0.0), (5, 0.0), (8, 0.0),
+                                        (2, 3e9), (5, 3e9), (8, 3e9)])
+    def test_embed_matches_direct_construction_when_points_share_simplices(self, d, far):
+        """The build keys each simplex once; with many points per simplex
+        every structure must still match the direct construction, on both
+        the packed and the wide-key path."""
+        pts = grid_with_flat_halves(d, far)
+        lat = PermutohedralLattice(FeaturePoints(pts))
+        assert lat._packable == (far == 0.0)
+        assert len(np.unique(lat.offsets, axis=0)) <= len(pts) // 4
+        assert_matches_direct_construction(lat, pts)
+
+    @pytest.mark.parametrize("kernel", ["spatial", "flat bilateral"])
+    def test_embed_matches_direct_construction_on_pixel_features(self, kernel):
+        """A 60x45 pixel grid at sigma_gamma 3, and a flat-colour image's
+        bilateral features: 2,700 points on 711 and 1,409 simplices."""
+        if kernel == "spatial":
+            feats = spatial_features(45, 60, 3.0)
+        else:
+            feats = bilateral_features(RgbImage(np.full((45, 60, 3), 120, np.uint8)), 4.0, 5.0)
+        lat = PermutohedralLattice(feats)
+        assert_matches_direct_construction(lat, feats.coords)
+
+    @pytest.mark.parametrize("d", [7, 15])
+    def test_simplex_keys_renumber_before_overflow(self, d):
+        """Points one lattice step apart share their rank permutation, so
+        their simplex keys differ only in the home vertex's digits. Those
+        digits pass 2^63 (d = 7: a packed home of 49 bits, then 8^7 rank
+        digits; d = 15, wide keys: 300 home ids, then 16^15), so the key
+        must be renumbered on the way; without that, homes collided and
+        the structures differed from the direct construction."""
+        rng = np.random.default_rng(4)
+        # Feature-space moves of the elevated point by (d+1) (e_j - e_d),
+        # lattice vectors that keep every remainder and so every rank.
+        moves = (d + 1) * (np.eye(d + 1)[:-1] - np.eye(d + 1)[-1])
+        t = np.linalg.lstsq(hdfilter._elevate(np.eye(d)), moves.T, rcond=None)[0].T
+        if d == 15:
+            steps = rng.integers(-3, 4, size=(300, d))
+        else:
+            steps = np.zeros((64, d), dtype=np.int64)
+            steps[:, 0] = np.arange(-32, 32) * 2**16
+        pts = rng.normal(size=d) + steps @ t
+        lat = PermutohedralLattice(FeaturePoints(pts))
+        assert lat._packable == (d == 7)
+        assert_matches_direct_construction(lat, pts)
+
+    @pytest.mark.parametrize("kernel", ["bilateral", "spatial"])
+    def test_build_scratch_per_point_corner(self, kernel):
+        """Building a 252x188 lattice allocates at most 80 traced bytes per
+        point corner (n (d+1)) above what it started with; the build kept
+        about 20 float64 and int64 (n, d+1) arrays alive at once when it
+        took 161-166 B, and takes 38-42 B. Its vertex ids are the splat's
+        indices, not a copy."""
+        image = render_scene(bench_scene(252, 188, 21, 0))[0]
+        params = PairwiseParams()
+        feats = (bilateral_features(image, params.sigma_alpha, params.sigma_beta)
+                 if kernel == "bilateral" else spatial_features(252, 188, params.sigma_gamma))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            lat = PermutohedralLattice(feats)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak / (feats.n * (feats.d + 1)) <= 80
+        assert np.shares_memory(lat.offsets, lat._splat.indices)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
     def test_elevation_matches_basis_product(self, d):

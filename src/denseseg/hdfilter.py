@@ -132,12 +132,27 @@ def _tick(timer: dict | None, key: str, t0: float) -> float:
     return now
 
 
-def _byte_rows(keys: np.ndarray) -> np.ndarray:
-    """int64 key rows as raw byte strings whose bytewise order is the rows'
-    lexicographic order (sign bit flipped, most significant byte first), so
-    searchsorted and == compare each row as one value."""
-    flipped = keys.view(np.uint64) ^ np.uint64(1 << 63)
-    return flipped.astype(">u8").view(np.dtype((np.void, 8 * keys.shape[-1])))[..., 0]
+def _fold(columns) -> np.ndarray:
+    """One int64 key per row of equally long integer columns (each spanning
+    less than 2^63), in the rows' lexicographic order; equal rows get equal
+    keys. Each column adds a digit, key * span + (column - min). Where that
+    could pass 2^63, the key is renumbered densely first, and the column too
+    if still needed: both keep their order, and rows^2 fits."""
+    key, bound = 0, 1
+    for col in columns:
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if bound * span >= 2**63:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = int(key.max()) + 1
+        if bound * span >= 2**63:
+            values, digit = np.unique(col, return_inverse=True)
+            span = len(values)
+        else:
+            digit = np.subtract(col, lo, dtype=np.int64)
+        key = key * span + digit
+        bound *= span
+    return key
 
 
 def _elevate(coords: np.ndarray) -> np.ndarray:
@@ -171,9 +186,10 @@ class PermutohedralLattice:
     A built lattice keeps, per point, its float64 ``barycentric`` row, its
     int32 vertex ids (``offsets`` is a view of the splat matrix's indices,
     which the slice matrix shares) and the float32 splat and slice weights:
-    20 bytes per point corner. Per vertex it keeps ``vertex_keys``, the
-    int64 neighbour ids and one sparse matrix per blur direction. The build's
-    scratch is freed when it returns.
+    20 bytes per point corner. Per vertex it keeps ``vertex_keys`` and one
+    sparse matrix per blur direction, whose int32 indices hold each vertex's
+    own id and its two neighbours' (``blur_n1``/``blur_n2`` are views of
+    them). The build's scratch is freed when it returns.
 
     ``calibrate``, if given, maps the lattice's own (n,) float64 row masses
     to the gain the slice applies: one scalar, or one per point. That gain,
@@ -198,7 +214,7 @@ class PermutohedralLattice:
 
         Scratch is a few (d+1, n) buffers, each dropped once used. Points
         are grouped by enclosing simplex first, so vertex keys are spelled
-        out once per simplex, not once per point.
+        out once per simplex, not once per point. Row lookups compare `_fold` keys.
         """
         n, d = feats.n, feats.d
         dp1 = d + 1
@@ -263,97 +279,58 @@ class PermutohedralLattice:
         del by_rank
         self.barycentric = bary
 
-        # Vertex r of a point has key rem0 + r in each stored coordinate,
-        # less d+1 where rank + r > d; over r, coordinate j spans
-        # [rem0_j - rank_j, rem0_j - rank_j + d].
-        lowest = rem0_int - rank[:d]
-        key_min = lowest.min(axis=1)
-        key_range = lowest.max(axis=1) + d - key_min
-        del lowest
-        # Blur direction j moves a key by -+(1 - (d+1) e_j) in the stored
-        # coordinates (the implied last one has no e_j).
-        step = dp1 * np.eye(dp1, d, dtype=np.int64) - 1
-        # Each packed field has one spare bit: key_range >= d, so a step out
-        # of [0, key_range] either borrows, leaving a field above its range,
-        # or lands in (key_range, key_range + d] with no carry. Either way
-        # the packed query matches no vertex, so no validity mask is needed.
-        bits = np.array([int(r).bit_length() + 1 for r in key_range], dtype=np.int64)
-        self._packable = int(bits.sum()) <= 63
-        if self._packable:
-            shifts = np.concatenate([np.cumsum(bits[::-1])[::-1][1:], [0]])
-            home = np.zeros(n, dtype=np.int64)  # rem0 packed, one field at a time
-            for j in range(d):
-                home += (rem0_int[j] - key_min[j]) << shifts[j]
-            key = home
-        else:
-            key = np.unique(rem0_int.T, axis=0, return_inverse=True)[1]
-
-        # A simplex is its home vertex (packed key or dense id) and the ranks
-        # of the first d coordinates (the last is implied), folded into one
-        # int64 key; the key is renumbered densely whenever the next digit
-        # could overflow. One point stands for each simplex.
-        bound = int(key.max()) + 1
-        for i in range(d):
-            if bound * dp1 >= 2**63:
-                key = np.unique(key, return_inverse=True)[1]
-                bound = int(key.max()) + 1
-            key = key * dp1 + rank[i]
-            bound *= dp1
-        simplex = np.unique(key, return_inverse=True)[1]
-        del key
-        num_simplices = simplex.max() + 1
-        members = np.empty(num_simplices, dtype=np.intp)
+        # A simplex is its home vertex rem0 and the ranks of its first d
+        # coordinates (the last of each is implied); one point stands for it.
+        simplex = np.unique(_fold([*rem0_int, *rank[:d]]), return_inverse=True)[1]
+        members = np.empty(simplex.max() + 1, dtype=np.intp)
         members[simplex] = points
         del points
-        rank_s = rank[:, members]
-        del rank
+        home, rank = rem0_int[:, members], rank[:, members]
+        del rem0_int, members
 
-        if self._packable:
-            # Vertex 0 is rem0 itself; vertex r adds one to every column and
-            # wraps the column of rank d + 1 - r (the implied last column
-            # has no field).
-            unit = np.append(1 << shifts, 0)
-            unit_by_rank = np.empty((num_simplices, dp1), dtype=np.int64)
-            rows = np.arange(num_simplices)
-            for i in range(dp1):
-                unit_by_rank[rows, rank_s[i]] = unit[i]
-            packed = np.empty((num_simplices, dp1), dtype=np.int64)
-            packed[:, 0] = home[members]
-            packed[:, 1:] = unit.sum() - dp1 * unit_by_rank[:, :0:-1]
-            np.cumsum(packed, axis=1, out=packed)
-            table, inverse = np.unique(packed.reshape(-1), return_inverse=True)
-            self.vertex_keys = ((table[:, None] >> shifts) & ((1 << bits) - 1)) + key_min
-            base, moves = table, step @ unit[:d]
-        else:
-            home_s, rank_s = rem0_int[:, members].T, rank_s[:d].T
-            keys = np.stack([home_s + r - dp1 * (rank_s > d - r) for r in range(dp1)], axis=1)
-            self.vertex_keys, inverse = np.unique(
-                keys.reshape(-1, d), axis=0, return_inverse=True
-            )
-            table = _byte_rows(self.vertex_keys)  # sorted, as np.unique left them
-            base, moves = self.vertex_keys, step
-        del rem0_int
-        self.num_vertices = len(self.vertex_keys)
+        # Corner r of a simplex has home + move[rank, r] in each stored
+        # coordinate: r, less d+1 where the coordinate's rank exceeds d - r.
+        corners = np.arange(dp1)
+        move = corners - dp1 * (corners > d - corners[:, None])
+        table, inverse = np.unique(
+            _fold((move.take(rank[i], axis=0) + home[i, :, None]).ravel() for i in range(d)),
+            return_inverse=True)
+        self.num_vertices = len(table)
+        # each vertex's key from one corner that reaches it
+        first = np.empty(self.num_vertices, dtype=np.intp)
+        first[inverse] = np.arange(inverse.size)
+        at, corner = np.divmod(first, dp1)
+        self.vertex_keys = np.stack(
+            [move[rank[i, at], corner] + home[i, at] for i in range(d)], axis=1)
+        del table, home, rank, first, at, corner
         # vertex ids per simplex, then per point in rank order
         vertex_ids = (inverse.reshape(-1, dp1) + 1).astype(np.int32)[simplex]
         del inverse, simplex
 
-        self.blur_n1 = np.zeros((dp1, self.num_vertices + 1), dtype=np.int64)
-        self.blur_n2 = np.zeros((dp1, self.num_vertices + 1), dtype=np.int64)
-        for out, sign in ((self.blur_n1, 1), (self.blur_n2, -1)):
-            queries = base[None] + sign * moves[:, None]
-            if not self._packable:
-                queries = _byte_rows(queries)
-            pos = np.searchsorted(table, queries)
-            np.minimum(pos, self.num_vertices - 1, out=pos)
-            out[:, 1:] = np.where(table[pos] == queries, pos + 1, 0)
+        # Blur direction j moves a key by -+(1 - (d+1) e_j) in the stored
+        # coordinates (the implied last one has no e_j). Row v of
+        # `neighbours[j]` holds v and its two neighbours' ids (0 where none).
+        # Folding the keys with their copies moved by -(...) finds each
+        # vertex's first neighbour u; v is then u's second.
+        m = self.num_vertices + 1
+        step = dp1 * np.eye(dp1, d, dtype=np.int64) - 1
+        neighbours = np.zeros((dp1, m, 3), dtype=np.int32)
+        neighbours[:, :, 0] = np.arange(m)
+        for j in range(dp1):
+            key = _fold(np.concatenate([c, c + step[j, i]]) for i, c in enumerate(self.vertex_keys.T))
+            table, query = key[:m - 1], key[m - 1:]
+            pos = np.searchsorted(table, query)
+            found = np.flatnonzero(table.take(pos, mode="clip") == query)
+            neighbours[j, found + 1, 1] = pos[found] + 1
+            neighbours[j, pos[found] + 1, 2] = found + 1
+        self.blur_n1, self.blur_n2 = neighbours[:, :, 1], neighbours[:, :, 2]
         # Blur direction j as a sparse matrix: each vertex keeps 1/2 of itself
         # and gets 1/4 of each neighbour (the sentinel row 0 stays 0).
-        m = self.num_vertices + 1
         weights = np.tile(np.array([0.5, 0.25, 0.25], np.float32), m)
         self._blur = [scipy.sparse.csr_matrix(
-            (weights, np.stack([np.arange(m), n1, n2], 1).ravel(), np.arange(0, 3 * m + 1, 3)),
-            shape=(m, m)) for n1, n2 in zip(self.blur_n1, self.blur_n2)]
+            (weights, ids.ravel(), np.arange(0, 3 * m + 1, 3)), shape=(m, m)) for ids in neighbours]
+        for blur, ids in zip(self._blur, neighbours):
+            blur.indices = ids.ravel()  # the constructor copied a view of a larger array
 
         # Gain restoring the halved blur mass over d+1 passes, times the
         # classic correction matching the lattice kernel to the unit Gaussian.

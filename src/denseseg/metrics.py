@@ -121,11 +121,13 @@ def trimap_mask(gt: LabelMap, width: int) -> TrimapBand:
     Boundary pixels sit at distance 1 from the inter-pixel edge, so the
     band is the boundary set grown by width-1 steps of 8-connected
     dilation: a width-2 band around a straight edge is 4 pixels across.
+    Past max(h, w) steps the band covers every pixel, so the steps stop there.
     """
     boundary = _boundary_4conn(gt.labels)
     if width > 1 and boundary.any():
         band = ndimage.binary_dilation(
-            boundary, structure=np.ones((3, 3), dtype=bool), iterations=width - 1
+            boundary, structure=np.ones((3, 3), dtype=bool),
+            iterations=min(width - 1, max(boundary.shape)),
         )
     else:
         band = boundary

@@ -252,6 +252,15 @@ class TestEval:
         assert rows[-2][0] == "trimap_2"
         assert rows[-1][0] == "trimap_10"
 
+    def test_trimap_width_past_int32_exits_0(self, tmp_path, capsys):
+        """A width of 3e9 once overflowed scipy's dilation count into a
+        traceback; the band is then the whole image."""
+        paths = synth_files(tmp_path)
+        rc = run_cli("eval", "--pred", paths["gt"], "--gt", paths["gt"],
+                     "--trimap", 3000000000)
+        assert rc == EXIT_OK
+        assert parse_csv(capsys.readouterr().out)[-1] == ["trimap_3000000000", "1.000000"]
+
     def test_eroded_prediction_band_ordering(self, tmp_path, capsys):
         # errors hug the boundary, so the narrow band scores worse
         gt = np.zeros((32, 32), np.uint8)

@@ -33,9 +33,9 @@ from oracles import (
 @st.composite
 def edge_points(draw):
     """Small sets of points on integer grids whose spans sit at and next to
-    powers of two, so key ranges often fill their packed fields exactly and
-    boundary vertices have neighbours just outside them. The largest scale
-    the lattice accepts takes the wide-key path for d >= 2."""
+    powers of two, so boundary vertices have neighbours just outside the
+    key ranges. At the largest scale the lattice accepts, the digits of the
+    folded keys pass 2^63 for d >= 2 and are renumbered."""
     d = draw(st.integers(1, 6))
     span = draw(st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 255, 256]))
     rows = draw(st.lists(st.lists(st.integers(-span, span), min_size=d, max_size=d),
@@ -48,8 +48,8 @@ def edge_points(draw):
 def grid_with_flat_halves(d, far):
     """A 45x60 pixel grid at sigma 6 in the first min(d, 2) dimensions and
     flat in the others, with the right half `far` away in the last one:
-    2,700 points on at most 572 simplices. A far of 3e9 takes the wide-key
-    path for d >= 2."""
+    2,700 points on at most 572 simplices. At a far of 3e9 the digits of
+    the folded keys pass 2^63 for d >= 2 and are renumbered."""
     rows, cols = np.mgrid[0:45, 0:60]
     pts = np.zeros((rows.size, d))
     pts[:, 0] = cols.ravel() / 6.0
@@ -57,6 +57,22 @@ def grid_with_flat_halves(d, far):
         pts[:, 1] = rows.ravel() / 6.0
     pts[cols.ravel() >= 30, -1] += far
     return pts
+
+
+@st.composite
+def integer_rows(draw):
+    """Up to 40 rows of 1-6 int64 columns, many rows repeated. Each column
+    is a few small values times a scale around a shift of up to -+2^42, so
+    columns are negative and span up to about 2^44, or 2^62 at the largest
+    scale. The products of the spans often pass 2^63, and a column spanning
+    2^62 passes it with a few distinct rows before it."""
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+                         min_size=1, max_size=40))
+    scale = draw(st.lists(st.sampled_from([1, 7, 2**20, 2**41, 2**60]),
+                          min_size=width, max_size=width))
+    shift = draw(st.lists(st.sampled_from([0, -2**42, 2**42]), min_size=width, max_size=width))
+    return np.array(rows, dtype=np.int64) * np.array(scale) + np.array(shift)
 
 
 def assert_matches_direct_construction(lat, pts):
@@ -217,6 +233,30 @@ class TestExactFilter:
         np.testing.assert_allclose(gaussian_filter_exact(v, feats), want, rtol=1e-12, atol=0.0)
 
 
+class TestFold:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(integer_rows())
+    def test_keys_rank_rows_lexicographically(self, rows):
+        """The fold's keys, ranked densely, are the ranks of the distinct
+        rows in lexicographic order, also where its digits pass 2^63 and
+        the key, or the key and a column, are renumbered on the way."""
+        spans = [int(s) for s in rows.max(axis=0) - rows.min(axis=0) + 1]
+        bound, renumbered = 1, "one int64"
+        for i, span in enumerate(spans):
+            if bound * span >= 2**63:
+                bound = len(np.unique(rows[:, :i], axis=0))
+                renumbered = "key renumbered"
+            if bound * span >= 2**63:
+                event("a column renumbered")
+                span = len(np.unique(rows[:, i]))
+            bound *= span
+        event(renumbered)
+        keys = hdfilter._fold(rows.T)
+        assert keys.dtype == np.int64
+        want = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+        assert np.array_equal(np.unique(keys, return_inverse=True)[1], want)
+
+
 class TestLatticeStructure:
     def test_single_point_creates_one_simplex(self):
         for d in (2, 5):
@@ -265,7 +305,8 @@ class TestLatticeStructure:
         assert len(np.unique(lat.vertex_keys, axis=0)) == lat.num_vertices
 
     def test_wide_coordinate_fallback_keeps_invariants(self):
-        """Huge feature magnitudes overflow packed keys; the row lookup must hold."""
+        """Huge feature magnitudes make folded keys that pass 2^63 and are
+        renumbered; every blur link must still have its reverse link."""
         rng = np.random.default_rng(97)
         lat = PermutohedralLattice(FeaturePoints(rng.normal(scale=3e8, size=(40, 5))))
         b = lat.barycentric
@@ -290,14 +331,13 @@ class TestLatticeStructure:
     @pytest.mark.parametrize("d", [2, 5])
     @pytest.mark.parametrize("scale", [1.0, 1.0 / 3.0, 3e8])
     def test_embed_matches_direct_construction(self, d, scale):
-        """Sort-based ranks, scattered barycentric weights and incrementally
-        packed keys reproduce the direct construction bit for bit. Integer
-        coordinates tie elevated remainders; 3e8 takes the wide-key path."""
+        """Sort-based ranks, scattered barycentric weights and folded keys
+        reproduce the direct construction bit for bit. Integer coordinates
+        tie elevated remainders; at 3e8 the folded keys are renumbered."""
         rng = np.random.default_rng(130 + d)
         pts = rng.integers(-6, 7, size=(400, d)).astype(np.float64) * scale
         lat = PermutohedralLattice(FeaturePoints(pts))
         offsets, bary, keys, n1, n2 = lattice_embed_reference(pts)
-        assert lat._packable == (scale < 1e6)
         assert np.array_equal(lat.offsets, offsets)
         assert np.array_equal(lat.barycentric, bary)
         assert np.array_equal(lat.vertex_keys, keys)
@@ -308,33 +348,37 @@ class TestLatticeStructure:
                                         (2, 3e9), (5, 3e9), (8, 3e9)])
     def test_embed_matches_direct_construction_when_points_share_simplices(self, d, far):
         """The build keys each simplex once; with many points per simplex
-        every structure must still match the direct construction, on both
-        the packed and the wide-key path."""
+        every structure must still match the direct construction, also
+        where the folded keys are renumbered."""
         pts = grid_with_flat_halves(d, far)
         lat = PermutohedralLattice(FeaturePoints(pts))
-        assert lat._packable == (far == 0.0)
         assert len(np.unique(lat.offsets, axis=0)) <= len(pts) // 4
         assert_matches_direct_construction(lat, pts)
 
-    @pytest.mark.parametrize("kernel", ["spatial", "flat bilateral"])
+    @pytest.mark.parametrize("kernel", ["spatial", "flat bilateral", "narrow bilateral"])
     def test_embed_matches_direct_construction_on_pixel_features(self, kernel):
-        """A 60x45 pixel grid at sigma_gamma 3, and a flat-colour image's
-        bilateral features: 2,700 points on 711 and 1,409 simplices."""
+        """A 60x45 pixel grid at sigma_gamma 3, a flat-colour image's
+        bilateral features, and a rendered scene's at sigma_beta 1e-6, whose
+        colour keys span about 2^30 each, so the folded keys are renumbered."""
         if kernel == "spatial":
             feats = spatial_features(45, 60, 3.0)
-        else:
+        elif kernel == "flat bilateral":
             feats = bilateral_features(RgbImage(np.full((45, 60, 3), 120, np.uint8)), 4.0, 5.0)
+        else:
+            image = render_scene(bench_scene(45, 60, 21, 0))[0]
+            feats = bilateral_features(image, 60.0, 1e-6)
         lat = PermutohedralLattice(feats)
         assert_matches_direct_construction(lat, feats.coords)
 
     @pytest.mark.parametrize("d", [7, 15])
     def test_simplex_keys_renumber_before_overflow(self, d):
         """Points one lattice step apart share their rank permutation, so
-        their simplex keys differ only in the home vertex's digits. Those
-        digits pass 2^63 (d = 7: a packed home of 49 bits, then 8^7 rank
-        digits; d = 15, wide keys: 300 home ids, then 16^15), so the key
-        must be renumbered on the way; without that, homes collided and
-        the structures differed from the direct construction."""
+        their simplex keys differ only in the home vertex's digits. At
+        d = 15 those digits pass 2^63 (15 home coordinates spanning about
+        2^6.6 each), so the key must be renumbered on the way; without
+        that, homes collided and the structures differed from the direct
+        construction. At d = 7 one home coordinate spans 2^25 and every
+        other digit is constant."""
         rng = np.random.default_rng(4)
         # Feature-space moves of the elevated point by (d+1) (e_j - e_d),
         # lattice vectors that keep every remainder and so every rank.
@@ -347,7 +391,6 @@ class TestLatticeStructure:
             steps[:, 0] = np.arange(-32, 32) * 2**16
         pts = rng.normal(size=d) + steps @ t
         lat = PermutohedralLattice(FeaturePoints(pts))
-        assert lat._packable == (d == 7)
         assert_matches_direct_construction(lat, pts)
 
     @pytest.mark.parametrize("kernel", ["bilateral", "spatial"])
@@ -356,7 +399,7 @@ class TestLatticeStructure:
         point corner (n (d+1)) above what it started with; the build kept
         about 20 float64 and int64 (n, d+1) arrays alive at once when it
         took 161-166 B, and takes 38-42 B. Its vertex ids are the splat's
-        indices, not a copy."""
+        indices, and its neighbour ids the blur matrices', not copies."""
         image = render_scene(bench_scene(252, 188, 21, 0))[0]
         params = PairwiseParams()
         feats = (bilateral_features(image, params.sigma_alpha, params.sigma_beta)
@@ -371,6 +414,9 @@ class TestLatticeStructure:
             tracemalloc.stop()
         assert peak / (feats.n * (feats.d + 1)) <= 80
         assert np.shares_memory(lat.offsets, lat._splat.indices)
+        for j, blur in enumerate(lat._blur):
+            assert np.shares_memory(lat.blur_n1[j], blur.indices)
+            assert np.shares_memory(lat.blur_n2[j], blur.indices)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
     def test_elevation_matches_basis_product(self, d):
@@ -392,14 +438,16 @@ class TestLatticeStructure:
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(edge_points())
     def test_blur_neighbours_match_direct_construction(self, pts):
-        """Packed neighbours come from uniq +- a constant per direction with
-        no validity mask; wide keys from a sorted row lookup. Both must give
-        the direct construction's neighbour ids, field edges included."""
+        """Neighbours come from folding the vertex keys together with one
+        moved copy per direction and a sorted lookup, with no validity mask;
+        each found link also gives the reverse one. They must be the direct
+        construction's, at the edges of the key ranges too, and also where
+        the folded keys are renumbered."""
         lat = PermutohedralLattice(FeaturePoints(pts))
         offsets, bary, keys, n1, n2 = lattice_embed_reference(pts)
-        span = keys.max(axis=0) - keys.min(axis=0)
-        event("wide keys" if not lat._packable else
-              "a field exactly full" if (span & (span + 1) == 0).any() else "packed")
+        spans = keys.max(axis=0) - keys.min(axis=0) + 1
+        event("vertex keys renumbered" if math.prod(int(s) for s in spans) >= 2**63
+              else "vertex keys in one int64")
         assert np.array_equal(lat.vertex_keys, keys)
         assert np.array_equal(lat.offsets, offsets)
         assert np.array_equal(lat.blur_n1, n1)

@@ -176,6 +176,14 @@ class TestTrimap:
                 assert (prev <= cur).all()
                 prev = cur
 
+    def test_width_past_int32_equals_width_past_image(self):
+        """Dilation steps stop at max(h, w), where the band already covers
+        the image: a width of 2^40 gives the same band, with no overflow."""
+        gt = np.zeros((6, 9), dtype=np.uint8)
+        gt[2, 3] = 1
+        assert np.array_equal(trimap_mask(lmap(gt), 2**40).mask,
+                              trimap_mask(lmap(gt), 9 + 1).mask)
+
     def test_width_zero_rejected(self):
         with pytest.raises(ValueError):
             trimap_mask(lmap(np.zeros((3, 3))), 0)

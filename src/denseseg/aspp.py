@@ -123,14 +123,13 @@ def rescale_pyramid(fm: FeatureMap, scales: Sequence[float]) -> list[FeatureMap]
             raise ValueError(f"scales must be positive, got {s!r}")
     if not isinstance(fm, FeatureMap):
         raise TypeError(f"expected FeatureMap, got {type(fm).__name__}")
-    data = fm.data.astype(np.float64)
     out = []
     for s in scales:
         if s == 1.0:
             out.append(fm)
             continue
         h, w = _scaled_size(fm.height, s), _scaled_size(fm.width, s)
-        out.append(FeatureMap(_resample_bilinear(data, h, w).astype(np.float32)))
+        out.append(FeatureMap(_resample_bilinear(fm.data, h, w)))
     return out
 
 

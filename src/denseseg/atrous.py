@@ -9,7 +9,8 @@ on each, and reinterlaces. Rate 1 reduces both to standard correlation.
 Accumulation-order contract (needed for bit-exact cross-checks): per output
 position, tap contributions are added in row-major tap order, each contribution
 a float64 product reduced over input channels; the float64 accumulator is cast
-to float32 once at the end.
+to float32 once at the end. Taps meeting only zero padding are skipped, not
+multiplied: their terms are exact zeros, so the sums are the padded ones.
 """
 
 from __future__ import annotations
@@ -100,26 +101,27 @@ def _conv2d_accumulate(x: np.ndarray, w: np.ndarray, r: int, padding: bool) -> n
 
     With padding, the tap anchor is the kernel center (k-1)//2 per axis, so
     even kernels anchor one short of the middle and the extra zero padding
-    lands after the data.
+    lands after the data. No padding is built: each tap adds its product only
+    where its input samples lie in the map, and the accumulator starts at
+    +0.0, so the skipped exact-zero terms change no bit.
     """
     kh, kw, c_in, c_out = w.shape
-    out_h, out_w = _output_size(x.shape[0], x.shape[1], kh, kw, r, padding)
-    if padding:
-        anchor_h, anchor_w = (kh - 1) // 2, (kw - 1) // 2
-        x = np.pad(
-            x,
-            (
-                (r * anchor_h, r * (kh - 1 - anchor_h)),
-                (r * anchor_w, r * (kw - 1 - anchor_w)),
-                (0, 0),
-            ),
-        )
-    acc = np.zeros((out_h * out_w, c_out), dtype=np.float64)
+    h, wid = x.shape[:2]
+    out_h, out_w = _output_size(h, wid, kh, kw, r, padding)
+    anchor_h, anchor_w = ((kh - 1) // 2, (kw - 1) // 2) if padding else (0, 0)
+    acc = np.zeros((out_h, out_w, c_out), dtype=np.float64)
     for i in range(kh):
+        dy = (i - anchor_h) * r
+        y0, y1 = max(0, -dy), min(out_h, h - dy)
         for j in range(kw):
-            window = x[i * r : i * r + out_h, j * r : j * r + out_w, :]
-            acc += np.ascontiguousarray(window).reshape(-1, c_in) @ w[i, j]
-    return acc.reshape(out_h, out_w, c_out)
+            dx = (j - anchor_w) * r
+            x0, x1 = max(0, -dx), min(out_w, wid - dx)
+            if y0 >= y1 or x0 >= x1:
+                continue
+            window = np.ascontiguousarray(x[y0 + dy : y1 + dy, x0 + dx : x1 + dx])
+            rect = acc[y0:y1, x0:x1]
+            rect += (window.reshape(-1, c_in) @ w[i, j]).reshape(rect.shape)
+    return acc
 
 
 def _check_input(fm: FeatureMap, kernel: ConvKernel) -> None:
@@ -184,15 +186,20 @@ def _axis_samples(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _resample_bilinear(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Separable align-corners bilinear resample of (h, w, c) float64 data."""
+    """Separable align-corners bilinear resample of (h, w, c) data to float32,
+    interpolated in float64 one 64-row block at a time (no whole-map copy)."""
     r_lo, r_hi, r_t = _axis_samples(data.shape[0], out_h)
     c_lo, c_hi, c_t = _axis_samples(data.shape[1], out_w)
-    rows = data[r_lo] * (1.0 - r_t)[:, None, None] + data[r_hi] * r_t[:, None, None]
-    out = np.take(rows, c_lo, axis=1)
-    out *= (1.0 - c_t)[None, :, None]
-    far = np.take(rows, c_hi, axis=1)
-    far *= c_t[None, :, None]
-    out += far
+    out = np.empty((out_h, out_w, data.shape[2]), dtype=np.float32)
+    for b in range(0, out_h, 64):
+        t = r_t[b : b + 64, None, None]
+        rows = data[r_lo[b : b + 64]] * (1.0 - t) + data[r_hi[b : b + 64]] * t
+        block = np.take(rows, c_lo, axis=1)
+        block *= (1.0 - c_t)[None, :, None]
+        far = np.take(rows, c_hi, axis=1)
+        far *= c_t[None, :, None]
+        block += far
+        out[b : b + 64] = block
     return out
 
 
@@ -202,7 +209,4 @@ def upsample_bilinear(fm: FeatureMap, factor: int) -> FeatureMap:
         raise ValueError(f"factor must be a positive integer, got {factor!r}")
     if factor == 1:
         return fm
-    out = _resample_bilinear(
-        fm.data.astype(np.float64), fm.height * factor, fm.width * factor
-    )
-    return FeatureMap(out.astype(np.float32))
+    return FeatureMap(_resample_bilinear(fm.data, fm.height * factor, fm.width * factor))

@@ -51,6 +51,30 @@ def reference_conv2d(
     return acc.reshape(out_h, out_w, c_out).astype(np.float32)
 
 
+def reference_bilinear(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Whole-array align-corners bilinear resample of (h, w, c) data.
+
+    Output sample j of an axis reads source position j (n_in - 1) / (n_out - 1)
+    (0 if either side has one sample), split into its integer part and an
+    exact fraction by integer division. Rows are interpolated first, then
+    columns, all in float64 over the whole map, and cast to float32 once.
+    """
+    def axis(n_in, n_out):
+        if n_in == 1 or n_out == 1:
+            zero = np.zeros(n_out, dtype=np.int64)
+            return zero, zero, np.zeros(n_out)
+        num = np.arange(n_out, dtype=np.int64) * (n_in - 1)
+        lo = num // (n_out - 1)
+        return lo, np.minimum(lo + 1, n_in - 1), (num % (n_out - 1)) / float(n_out - 1)
+
+    x = np.asarray(data, dtype=np.float64)
+    r_lo, r_hi, r_t = axis(x.shape[0], out_h)
+    c_lo, c_hi, c_t = axis(x.shape[1], out_w)
+    rows = x[r_lo] * (1.0 - r_t)[:, None, None] + x[r_hi] * r_t[:, None, None]
+    out = rows[:, c_lo] * (1.0 - c_t)[None, :, None] + rows[:, c_hi] * c_t[None, :, None]
+    return out.astype(np.float32)
+
+
 def gaussian_filter_bruteforce(values: np.ndarray, feats: np.ndarray) -> np.ndarray:
     """All-pairs unit Gaussian filter, explicit double loop over points.
 

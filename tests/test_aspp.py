@@ -15,6 +15,7 @@ from denseseg.aspp import (
 )
 from denseseg.atrous import AtrousRate, ConvKernel, atrous_conv_2d_holes
 from denseseg.core import FeatureMap, ShapeError
+from oracles import reference_bilinear
 
 
 def ones_branch(rate: int) -> AsppBranch:
@@ -214,6 +215,19 @@ class TestRescalePyramid:
         with pytest.raises(TypeError):
             rescale_pyramid(np.zeros((3, 3)), [1.0])
 
+    @pytest.mark.parametrize("h, w, out_h", [(63, 47, 1), (126, 9, 63), (63, 47, 64),
+                                             (63, 47, 65), (63, 47, 504), (1, 40, 130),
+                                             (70, 1, 35), (1, 1, 66)])
+    def test_equals_whole_array_oracle(self, h, w, out_h):
+        """Output heights 1, 63, 64, 65 and 504 sit at and across the 64-row
+        blocks, inputs with a 1-pixel axis included."""
+        rng = np.random.default_rng(h + out_h)
+        fm = FeatureMap(rng.normal(size=(h, w, 3)).astype(np.float32))
+        (out,) = rescale_pyramid(fm, [out_h / h])
+        assert out.height == out_h
+        want = reference_bilinear(fm.data, out_h, out.width)
+        assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+
 
 class TestRandomConfig:
     def test_same_seed_same_weights(self):
@@ -226,3 +240,4 @@ class TestRandomConfig:
         for b1, b2 in zip(cfg1.branches, cfg2.branches):
             for k1, k2 in zip(b1.kernels, b2.kernels):
                 assert np.array_equal(k1.weights, k2.weights)
+

@@ -15,7 +15,7 @@ from denseseg.atrous import (
     upsample_bilinear,
 )
 from denseseg.core import FeatureMap, ShapeError
-from oracles import reference_conv2d, relative_linf
+from oracles import reference_bilinear, reference_conv2d, relative_linf
 
 
 def random_case(seed, h=16, w=16, c_in=2, c_out=4, k=3):
@@ -157,6 +157,54 @@ class TestConv2dHoles:
         assert relative_linf(lhs, rhs) < 1e-6
 
 
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def sweep_cases():
+    """Seeded (h, w, kh, kw, rate, padding) cases, some with rates at or past
+    the map side, 1-pixel maps and even kernels; without padding, only maps
+    that cover at least one output position."""
+    rng = np.random.default_rng(70)
+    cases = [(1, 1, 3, 3, 1, True), (1, 1, 3, 3, 5, True), (1, 9, 3, 3, 2, True),
+             (9, 1, 4, 4, 9, True), (7, 5, 2, 2, 7, True), (6, 8, 4, 3, 40, True),
+             (1, 9, 1, 3, 4, False), (9, 1, 4, 1, 2, False), (12, 11, 4, 2, 3, False),
+             (5, 5, 3, 3, 2, False)]
+    while len(cases) < 60:
+        h, w = (int(v) for v in rng.integers(1, 33, size=2))
+        kh, kw = (int(v) for v in rng.integers(1, 5, size=2))
+        rate, padding = int(rng.integers(1, 40)), bool(rng.integers(0, 2))
+        if padding or (h > rate * (kh - 1) and w > rate * (kw - 1)):
+            cases.append((h, w, kh, kw, rate, padding))
+    return cases
+
+
+class TestTapsSkipPadding:
+    """Taps add only where they meet the map; the sums equal the zero-padded
+    correlation's bit for bit."""
+
+    @pytest.mark.parametrize("case", sweep_cases())
+    def test_both_routes_equal_padded_oracle_bytes(self, case):
+        h, w, kh, kw, rate, padding = case
+        rng = np.random.default_rng(h * 1000 + w * 10 + rate)
+        fm = FeatureMap(rng.normal(size=(h, w, 3)).astype(np.float32))
+        kernel = ConvKernel(rng.normal(size=(kh, kw, 3, 5)).astype(np.float32))
+        want = reference_conv2d(fm.data, kernel.weights, rate, padding)
+        assert_same_bytes(atrous_conv_2d_holes(fm, kernel, rate, padding).data, want)
+        assert_same_bytes(atrous_conv_2d_subsampled(fm, kernel, rate, padding).data, want)
+
+    @pytest.mark.parametrize("h, w, rate", [(1, 1, 1), (5, 7, 7), (9, 4, 12), (16, 16, 24)])
+    def test_rate_past_map_degenerates_to_centre_tap(self, h, w, rate):
+        """At a rate of at least the map side every off-centre tap reads only
+        padding, so a 3x3 conv is the 1x1 conv by its centre weights."""
+        fm, kernel = random_case(71 + rate, h=h, w=w, c_in=4, c_out=6)
+        centre = ConvKernel(kernel.weights[1:2, 1:2])
+        want = atrous_conv_2d_holes(fm, centre, 1).data
+        assert_same_bytes(atrous_conv_2d_holes(fm, kernel, rate).data, want)
+        assert_same_bytes(atrous_conv_2d_subsampled(fm, kernel, rate).data, want)
+
+
 class TestRouteEquivalence:
     @pytest.mark.parametrize("rate", [2, 3, 4])
     def test_matches_holes_on_random_maps(self, rate):
@@ -251,3 +299,13 @@ class TestUpsampleBilinear:
             upsample_bilinear(fm, 0)
         with pytest.raises(ValueError):
             upsample_bilinear(fm, 2.0)
+
+    @pytest.mark.parametrize("h, w, factor", [(21, 3, 3), (8, 5, 8), (13, 4, 5),
+                                              (63, 47, 8), (1, 6, 4), (7, 1, 9)])
+    def test_row_blocks_equal_whole_array_oracle(self, h, w, factor):
+        """Output heights 63, 64, 65 and 504 sit at and across the 64-row
+        blocks; 1-pixel axes resample from one sample."""
+        fm, _ = random_case(64 + h, h=h, w=w, c_in=3)
+        out = upsample_bilinear(fm, factor)
+        assert out.height == h * factor
+        assert_same_bytes(out.data, reference_bilinear(fm.data, h * factor, w * factor))

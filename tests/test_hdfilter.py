@@ -373,12 +373,12 @@ class TestLatticeStructure:
     @pytest.mark.parametrize("d", [7, 15])
     def test_simplex_keys_renumber_before_overflow(self, d):
         """Points one lattice step apart share their rank permutation, so
-        their simplex keys differ only in the home vertex's digits. At
-        d = 15 those digits pass 2^63 (15 home coordinates spanning about
-        2^6.6 each), so the key must be renumbered on the way; without
+        their simplex keys differ only in the home vertex's digits. Those
+        digits pass 2^63, so the key must be renumbered on the way; without
         that, homes collided and the structures differed from the direct
-        construction. At d = 7 one home coordinate spans 2^25 and every
-        other digit is constant."""
+        construction. At d = 15, 15 home coordinates span about 2^6.6
+        each; at d = 7, four span about 2^24 each and the other three are
+        constant."""
         rng = np.random.default_rng(4)
         # Feature-space moves of the elevated point by (d+1) (e_j - e_d),
         # lattice vectors that keep every remainder and so every rank.
@@ -388,9 +388,13 @@ class TestLatticeStructure:
             steps = rng.integers(-3, 4, size=(300, d))
         else:
             steps = np.zeros((64, d), dtype=np.int64)
-            steps[:, 0] = np.arange(-32, 32) * 2**16
+            steps[:, :4] = rng.integers(-2**20, 2**20, size=(64, 4))
         pts = rng.normal(size=d) + steps @ t
         lat = PermutohedralLattice(FeaturePoints(pts))
+        # the home vertex is every point's corner 0; the rank digits are
+        # constant, so the home spans alone decide whether the fold renumbers
+        home = lat.vertex_keys[lat.offsets[:, 0] - 1]
+        assert math.prod(int(s) for s in home.max(axis=0) - home.min(axis=0) + 1) >= 2**63
         assert_matches_direct_construction(lat, pts)
 
     @pytest.mark.parametrize("kernel", ["bilateral", "spatial"])

@@ -3,10 +3,11 @@
 perfbench/ calls mean_field_step(..., filters=, threads=, timer=),
 PairwiseFilters(image, params, "lattice") wrapped in a stand-in that forwards
 only require/filter_bilateral/filter_spatial, and
-PermutohedralLattice(feats).num_vertices. A traced tiny run of each CRF
-workload exercises all of them and checks every output it produces; an
-untraced tiny run of every workload covers the mode that measures the
-end-to-end metrics.
+PermutohedralLattice(feats).num_vertices, and its deeplab_front replay calls
+atrous_conv_2d_holes(..., padding=) and atrous_conv_2d_subsampled directly.
+A traced tiny run of each workload exercises all of them and checks every
+output it produces; an untraced tiny run of every workload covers the mode
+that measures the end-to-end metrics.
 """
 
 import json
@@ -31,7 +32,7 @@ def run_tiny(workload: str, trace: int) -> dict:
     return result
 
 
-@pytest.mark.parametrize("workload", ["voc_refine", "tune_sweep"])
+@pytest.mark.parametrize("workload", ["voc_refine", "tune_sweep", "deeplab_front"])
 def test_traced_tiny_run_is_correct(workload):
     run_tiny(workload, trace=1)
 

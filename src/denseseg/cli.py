@@ -53,7 +53,8 @@ def _params_from_args(args) -> PairwiseParams:
 
 def _add_common(parser) -> None:
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
+                        help="tune: score up to N (sigma pair, case) units at once; "
+                             "other subcommands run on one thread (default 1)")
 
 
 def _add_crf_flags(parser) -> None:
@@ -202,7 +203,8 @@ def cmd_tune(args) -> int:
         sigma_alpha=_parse_axis(args.sigma_alpha_values, COARSE_SIGMA_ALPHA),
         sigma_beta=_parse_axis(args.sigma_beta_values, COARSE_SIGMA_BETA),
     )
-    best, report = grid_search(cases, ranges=ranges, iters=args.iters, backend=args.backend)
+    best, report = grid_search(cases, ranges=ranges, iters=args.iters, backend=args.backend,
+                               threads=args.threads)
     lines = ["stage,w1,sigma_alpha,sigma_beta,mean_miou"]
     for point in report:
         p = point.params
@@ -299,6 +301,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return _COMMANDS[args.command](args)
     except (FormatError, OSError) as exc:
         print(f"denseseg {args.command}: {exc}", file=sys.stderr)

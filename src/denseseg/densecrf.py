@@ -16,6 +16,7 @@ one rule at every image size, and is the one that scales to real images.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -256,6 +257,17 @@ def _filter(structure, values: np.ndarray, timer: dict | None) -> np.ndarray:
     return structure.filter(values, timer=timer)
 
 
+def _spatial_structure(cache: dict, h: int, w: int, sigma_gamma: float, backend: str):
+    """The spatial kernel's structure for an h x w image, from `cache` (keyed
+    by image size, sigma_gamma and backend) or built into it."""
+    key = (h, w, sigma_gamma, backend)
+    if key not in cache:
+        spatial = spatial_features(h, w, sigma_gamma)
+        cache[key] = spatial if backend == "exact" else PermutohedralLattice(
+            spatial, lambda mass: _spatial_row_masses(h, w, sigma_gamma) / mass)
+    return cache[key]
+
+
 class PairwiseFilters:
     """Kernel filtering structures for one image, backend and kernel scales.
 
@@ -294,13 +306,8 @@ class PairwiseFilters:
         bilateral = bilateral_features(image, params.sigma_alpha, params.sigma_beta)
         self.bilateral = bilateral if backend == "exact" else PermutohedralLattice(
             bilateral, lambda mass: sampled_mass_gain(bilateral, mass))
-        cache = {} if spatial_cache is None else spatial_cache
-        key = (h, w, params.sigma_gamma, backend)
-        if key not in cache:
-            spatial = spatial_features(h, w, params.sigma_gamma)
-            cache[key] = spatial if backend == "exact" else PermutohedralLattice(
-                spatial, lambda mass: _spatial_row_masses(h, w, params.sigma_gamma) / mass)
-        self.spatial = cache[key]
+        self.spatial = _spatial_structure({} if spatial_cache is None else spatial_cache,
+                                          h, w, params.sigma_gamma, backend)
 
     def filter_bilateral(self, values: np.ndarray, timer: dict | None = None) -> np.ndarray:
         return _filter(self.bilateral, values, timer)
@@ -535,6 +542,7 @@ def grid_search(
     ranges: SearchRanges = SearchRanges(),
     iters: int = DEFAULT_ITERATIONS,
     backend: str = "lattice",
+    threads: int = 1,
 ) -> tuple[PairwiseParams, list[GridPoint]]:
     """Two-stage parameter search scored by mean IOU over the cases.
 
@@ -545,11 +553,15 @@ def grid_search(
     order and the first of equal scores wins. Returns the winner and the
     report, one GridPoint per scanned point in scan order.
 
-    The pairwise filters depend on the kernel scales but not on w1, so each
-    stage builds them once per case and (sigma_alpha, sigma_beta) pair and
-    runs every w1 of that pair through them in as few batched runs as
-    BATCH_MAX_ELEMENTS allows. sigma_gamma is fixed, so the spatial kernel is
-    built once per image size for the whole search.
+    The pairwise filters depend on the kernel scales but not on w1, so a
+    stage's unit of work is one case under one (sigma_alpha, sigma_beta)
+    pair: it builds that case's filters and runs every w1 of the pair
+    through them in as few batched runs as BATCH_MAX_ELEMENTS allows. Up to
+    `threads` units run at once; the first failing unit in scan order raises
+    and the queued ones are dropped. Each point's total adds its cases'
+    scores in manifest order, so results do not depend on `threads`.
+    sigma_gamma is fixed, so each image size's spatial kernel is built once,
+    before any unit starts, and units only read it.
     """
     cases = list(cases)
     if not cases:
@@ -558,27 +570,38 @@ def grid_search(
         _check_label_count(unary.labels)
     scores: dict[tuple, float] = {}
     spatial_cache: dict = {}
+    if iters > 0:
+        for _, image, _ in cases:
+            _spatial_structure(spatial_cache, image.height, image.width,
+                               DEFAULT_SIGMA_SPATIAL, backend)
     report: list[GridPoint] = []
+
+    def unit(batch: list[PairwiseParams], case: tuple) -> list[float]:
+        unary, image, gt = case
+        filters = (PairwiseFilters(image, batch[0], backend, spatial_cache=spatial_cache)
+                   if iters > 0 else None)
+        return [mean_iou(confusion(labels_from_state(MeanFieldState(q)), gt, unary.labels))
+                for q in _infer(unary, image, batch, iters, backend, filters, None)]
 
     def scan(stage: str, points: list[tuple], keep: tuple = ()) -> tuple:
         groups: dict[tuple, list[tuple]] = {}
         for point in points:
             if point not in scores:
                 groups.setdefault(point[1:], []).append(point)
-        for group in groups.values():
-            batch = [PairwiseParams(*point) for point in group]
-            totals = [0.0] * len(batch)
-            # Cases in manifest order, so each point's total sums as before;
-            # one case's filters are dropped before the next case's are built.
-            for unary, image, gt in cases:
-                filters = (PairwiseFilters(image, batch[0], backend, spatial_cache=spatial_cache)
-                           if iters > 0 else None)
-                beliefs = _infer(unary, image, batch, iters, backend, filters, None)
-                for k, q in enumerate(beliefs):
-                    totals[k] += mean_iou(
-                        confusion(labels_from_state(MeanFieldState(q)), gt, unary.labels))
-                del filters, beliefs
-            scores.update((point, total / len(cases)) for point, total in zip(group, totals))
+        if groups:
+            with ThreadPoolExecutor(min(threads, len(groups) * len(cases))) as pool:
+                runs = [[pool.submit(unit, [PairwiseParams(*p) for p in group], case)
+                         for case in cases] for group in groups.values()]
+                try:
+                    for group, per_case in zip(groups.values(), runs):
+                        totals = [0.0] * len(group)
+                        for run in per_case:
+                            for k, score in enumerate(run.result()):
+                                totals[k] += score
+                        scores.update((p, total / len(cases)) for p, total in zip(group, totals))
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
         report.extend(GridPoint(stage, PairwiseParams(*point), scores[point]) for point in points)
         # max keeps the first of equal scores, so `keep` wins ties
         return max([*keep, *points], key=scores.__getitem__)

@@ -65,8 +65,7 @@ def _as_value_matrix(values, n: int) -> tuple[np.ndarray, bool]:
 # are not evaluated.
 _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
 
-# Rows per strip of the all-pairs sum and of the sampled masses; the
-# summation order follows the strips.
+# Rows per strip of the all-pairs sum; its summation order follows the strips.
 EXACT_STRIP_ROWS = 64
 
 # Rows and columns the scalar calibration samples: at 504x376 the sample takes
@@ -74,21 +73,43 @@ EXACT_STRIP_ROWS = 64
 GAIN_SAMPLE_ROWS = 200
 GAIN_SAMPLE_COLUMNS = 5000
 
+# Most entries in one chunk of a kernel block, 320 KB of float64 (8 rows of
+# the calibration sample): a chunk's squared distances stay in cache through
+# the loop over dimensions, and a small block is one chunk.
+KERNEL_CHUNK_ENTRIES = 8 * GAIN_SAMPLE_COLUMNS
+
 
 def _kernel_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """exp(-||r - c||^2 / 2) for every row and column point, float64, from
-    squared coordinate differences, so no offset or magnitude cancels."""
-    # Imported here: at module level scipy.spatial adds about 0.1 s and 10 MB
-    # to every `import denseseg`, also for runs that build no pairwise filter.
-    from scipy.spatial.distance import cdist
-
-    d2 = cdist(rows, cols, "sqeuclidean")
-    d2 *= -0.5  # now the log of each kernel entry
-    # exp is many times slower where its result is subnormal. Entries below
-    # tiny stay 0, which moves a row sum by at most columns * tiny * max|v|.
-    kernel = np.zeros_like(d2)
-    np.exp(d2, out=kernel, where=d2 >= _LOG_TINY)
+    squared coordinate differences added one dimension at a time (in
+    cdist's order), so no offset or magnitude cancels."""
+    step = _chunk_rows(len(cols))
+    kernel = np.zeros((len(rows), len(cols)))
+    d2 = np.empty((min(len(rows), step), len(cols)))
+    term = np.empty_like(d2)
+    cols = cols.T.copy()  # one contiguous row per dimension
+    # A difference or square past float max is inf, whose kernel entry is 0.
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            sq, t = d2[:len(chunk)], term[:len(chunk)]
+            np.subtract.outer(chunk[:, 0], cols[0], out=sq)
+            sq *= sq
+            for r, c in zip(chunk.T[1:], cols[1:]):
+                np.subtract.outer(r, c, out=t)
+                t *= t
+                sq += t
+            sq *= -0.5  # now the log of each kernel entry
+            # exp is many times slower where its result is subnormal. Entries
+            # below tiny stay 0, which moves a row sum by at most
+            # columns * tiny * max|v|.
+            np.exp(sq, out=kernel[lo:lo + step], where=sq >= _LOG_TINY)
     return kernel
+
+
+def _chunk_rows(columns: int) -> int:
+    """Rows per kernel chunk of `columns` entries each."""
+    return max(1, KERNEL_CHUNK_ENTRIES // columns)
 
 
 def gaussian_filter_exact(values, feats: FeaturePoints) -> np.ndarray:
@@ -116,11 +137,14 @@ def _stride_sample(n: int, count: int) -> np.ndarray:
 
 def sampled_mass_gain(feats: FeaturePoints, lattice_mass: np.ndarray) -> float:
     """Median over fixed-stride rows of exact row mass / lattice row mass, each
-    exact mass summed over fixed-stride columns and scaled by n / columns."""
+    exact mass summed over fixed-stride columns and scaled by n / columns.
+    Each row sums the same columns at any strip height, so a strip is one
+    kernel chunk, at most 320 KB."""
     n, f = feats.n, feats.coords
     rows, cols = _stride_sample(n, GAIN_SAMPLE_ROWS), _stride_sample(n, GAIN_SAMPLE_COLUMNS)
-    exact = np.concatenate([_kernel_block(f[rows[lo:lo + EXACT_STRIP_ROWS]], f[cols]).sum(axis=1)
-                            for lo in range(0, len(rows), EXACT_STRIP_ROWS)])
+    sample, step = f[cols], _chunk_rows(len(cols))
+    exact = np.concatenate([_kernel_block(f[rows[lo:lo + step]], sample).sum(axis=1)
+                            for lo in range(0, len(rows), step)])
     return float(np.median(exact * (n / len(cols)) / lattice_mass[rows]))
 
 

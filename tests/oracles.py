@@ -8,6 +8,7 @@ bit-exactness claims are meaningful where the contracts promise them.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 def reference_conv2d(
@@ -89,6 +90,13 @@ def gaussian_filter_bruteforce(values: np.ndarray, feats: np.ndarray) -> np.ndar
             d = f[i] - f[j]
             out[i] += np.exp(-0.5 * float(d @ d)) * v[j]
     return out
+
+
+def kernel_block_cdist(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """exp(-||r - c||^2 / 2) from scipy's all-pairs squared distances, with
+    entries whose log is below that of the smallest normal float64 set to 0."""
+    log_kernel = -0.5 * cdist(rows, cols, "sqeuclidean")
+    return np.where(log_kernel >= np.log(np.finfo(np.float64).tiny), np.exp(log_kernel), 0.0)
 
 
 def spatial_row_masses_full_matrix(height: int, width: int, sigma_gamma: float) -> np.ndarray:

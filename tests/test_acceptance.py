@@ -350,11 +350,23 @@ def test_criterion_12_thread_count_never_changes_output(tmp_path, capsys):
         assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--trimap", "2",
                      "--threads", threads]) == 0
         per_command.setdefault("eval", []).append(capsys.readouterr().out)
+        # two more cases at other sizes, so tune's stages run several units
+        lines = [f"{unary} {image} {gt}"]
+        for size in ("36x44", "44x36"):
+            height, width = size.split("x")
+            sized = work / f"scene{size}.txt"
+            sized.write_text(spec.read_text().replace("height = 32", f"height = {height}")
+                             .replace("width = 32", f"width = {width}"))
+            files = [work / f"{name}{size}.{ext}" for name, ext in
+                     (("unary", "dlt"), ("img", "ppm"), ("gt", "pgm"))]
+            assert main(["synth", "--spec", str(sized), "--out-unary", str(files[0]),
+                         "--out-image", str(files[1]), "--out-gt", str(files[2])]) == 0
+            lines.append(" ".join(map(str, files)))
         manifest = work / "manifest.txt"
-        manifest.write_text(f"{unary} {image} {gt}\n")
+        manifest.write_text("\n".join(lines) + "\n")
         assert main(["tune", "--manifest", str(manifest), "--iters", "2",
                      "--backend", "lattice", "--w1-values", "2,3",
-                     "--sigma-alpha-values", "30", "--sigma-beta-values", "4",
+                     "--sigma-alpha-values", "30,60", "--sigma-beta-values", "4",
                      "--threads", threads]) == 0
         per_command.setdefault("tune", []).append(capsys.readouterr().out)
         assert main(["bench", "--height", "64", "--width", "48", "--labels", "4",

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -467,6 +468,84 @@ class TestSeedFlag:
         assert "--seed" in capsys.readouterr().err
 
 
+def sized_scene(height, width):
+    return SCENE.replace("height = 32", f"height = {height}").replace("width = 32", f"width = {width}")
+
+
+def write_manifest(tmp_path, sizes=((32, 32),)):
+    """A manifest of one synthetic case per (height, width)."""
+    lines = []
+    for height, width in sizes:
+        paths = synth_files(tmp_path / f"case{height}x{width}", scene=sized_scene(height, width))
+        lines.append(f"{paths['unary']} {paths['image']} {paths['gt']}")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+class TestThreadsFlag:
+    """--threads sizes tune's pool of (sigma pair, case) units; every
+    subcommand refuses counts below 1."""
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    @pytest.mark.parametrize("argv", [
+        ["refine", "--unary", "u.dlt", "--image", "i.ppm", "--out", "o.pgm"],
+        ["eval", "--pred", "p.pgm", "--gt", "g.pgm"],
+        ["tune", "--manifest", "m.txt"],
+        ["synth", "--spec", "s.txt"],
+        ["bench", "--height", 1, "--width", 1, "--labels", 2, "--iters", 1],
+    ])
+    def test_below_one_exits_2(self, argv, threads, capsys):
+        assert run_cli(*argv, "--threads", threads) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"--threads must be at least 1, got {threads}" in err
+
+    def test_huge_count_on_one_unit_grid(self, tmp_path, capsys):
+        """One case and one point make one unit per stage, so the pool
+        starts one worker whatever the count."""
+        manifest = write_manifest(tmp_path)
+        outputs = []
+        for threads in (1, 10**9):
+            before = threading.active_count()
+            rc = run_cli("tune", "--manifest", manifest, "--iters", 1, "--w1-values", "3",
+                         "--sigma-alpha-values", "30", "--sigma-beta-values", "4",
+                         "--threads", threads)
+            assert rc == EXIT_OK
+            assert threading.active_count() == before
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_failing_unit_exits_as_serial_run_and_joins(self, tmp_path, capsys):
+        """Colour widths of 1e-30 fail every unit's lattice build: the pooled
+        run exits with the serial run's message and leaves no worker."""
+        manifest = write_manifest(tmp_path, sizes=((32, 32), (36, 44)))
+        errors = []
+        for threads in (1, 2):
+            before = threading.active_count()
+            rc = run_cli("tune", "--manifest", manifest, "--iters", 1,
+                         "--sigma-beta-values", "1e-30", "--threads", threads)
+            assert rc == EXIT_VALIDATION
+            assert threading.active_count() == before
+            errors.append(capsys.readouterr().err)
+        assert "use wider kernels" in errors[0]
+        assert errors[0] == errors[1]
+
+
+def test_lattice_refine_leaves_scipy_spatial_unimported(tmp_path):
+    """The lattice path computes its kernel blocks without scipy.spatial,
+    whose import costs a fresh process about 0.1 s and 10 MB."""
+    paths = synth_files(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["refine", "--unary", str(paths["unary"]), "--image", str(paths["image"]),
+            "--out", str(tmp_path / "pred.pgm"), "--factor", "1", "--backend", "lattice"]
+    code = ("import sys; from denseseg.cli import main; "
+            f"assert main({argv!r}) == 0; print('scipy.spatial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestDeterminismAcrossThreads:
     def test_refine_outputs_bit_identical(self, tmp_path):
         paths = synth_files(tmp_path)
@@ -483,14 +562,14 @@ class TestDeterminismAcrossThreads:
         assert outs[1] == outs[8]
 
     def test_tune_stdout_bit_identical(self, tmp_path, capsys):
-        paths = synth_files(tmp_path)
-        manifest = tmp_path / "manifest.txt"
-        manifest.write_text(f"{paths['unary']} {paths['image']} {paths['gt']}\n")
+        """Three image sizes and two sigma_alpha values give every stage
+        several units, so --threads 8 runs them concurrently."""
+        manifest = write_manifest(tmp_path, sizes=((32, 32), (36, 44), (44, 36)))
         outputs = []
         for threads in (1, 8):
             rc = run_cli("tune", "--manifest", manifest, "--iters", 2,
                          "--backend", "lattice", "--w1-values", "2,3",
-                         "--sigma-alpha-values", "30",
+                         "--sigma-alpha-values", "30,60",
                          "--sigma-beta-values", "4", "--threads", threads)
             assert rc == EXIT_OK
             outputs.append(capsys.readouterr().out)

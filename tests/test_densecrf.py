@@ -1,6 +1,9 @@
 """Mean-field refinement: state handling, updates, energy, parameter search."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -832,11 +835,19 @@ class TestGridSearch:
     @pytest.mark.parametrize("iters", [1, 2])
     @pytest.mark.parametrize("backend", ["exact", "lattice"])
     def test_shared_filters_match_per_point_search(self, backend, iters):
+        """Four threads, more than the cores, switching often, score the
+        units out of order while sharing the spatial lattices; the totals
+        still add in manifest order, as the serial per-point reference does."""
         cases = [split_case(1, 3.0), cropped_case(2, 3.0), split_case(4, 3.0)]
         want_report = []
         want = grid_search_per_point(cases, SHARED_RANGES, iters, backend, want_report)
-        got, got_report = grid_search(cases, ranges=SHARED_RANGES, iters=iters,
-                                      backend=backend)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got, got_report = grid_search(cases, ranges=SHARED_RANGES, iters=iters,
+                                          backend=backend, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
         assert got == want
         assert got_report == want_report
         assert {p.stage for p in got_report} == {"coarse", "refine"}
@@ -894,6 +905,38 @@ class TestGridSearch:
         # once per image size (16x16 and 16x12) for the whole search
         assert lattice_dims.count(5) == len(built)
         assert lattice_dims.count(2) == 2
+
+    def test_failing_unit_drops_queued_units_and_joins(self, monkeypatch):
+        """The first unit in scan order fails while later ones are slow: the
+        queued units never start and no worker thread outlives the call."""
+        started = []
+
+        class SlowFilters(PairwiseFilters):
+            def __init__(self, image, params, *args, **kwargs):
+                started.append(params.sigma_alpha)
+                if params.sigma_alpha == 30.0:
+                    raise ValueError("first unit fails")
+                time.sleep(0.5)
+                super().__init__(image, params, *args, **kwargs)
+
+        monkeypatch.setattr(densecrf, "PairwiseFilters", SlowFilters)
+        ranges = SearchRanges(w1=(3.0,), sigma_beta=(4.0,))  # 8 sigma_alpha units
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="first unit fails"):
+            grid_search([split_case(1)], ranges=ranges, iters=1, backend="lattice", threads=2)
+        assert threading.active_count() == before
+        assert 30.0 in started and len(started) <= 4
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_failing_unit_in_scan_order_raises(self, threads):
+        """Both cases' images disagree with their unaries; the first case's
+        error wins although its unit runs longer than the second's."""
+        big, small = quadrant_case(96, 128, 1), split_case(2)
+        cases = [(big[0], RgbImage(big[1].data[:, :-1]), big[2]),
+                 (small[0], RgbImage(small[1].data[:-1]), small[2])]
+        ranges = SearchRanges(w1=(3.0,), sigma_alpha=(30.0,), sigma_beta=(4.0,))
+        with pytest.raises(ShapeError, match="image 96x127 does not match unary 96x128"):
+            grid_search(cases, ranges=ranges, iters=1, backend="lattice", threads=threads)
 
     def test_empty_cases_rejected(self):
         with pytest.raises(ValueError):

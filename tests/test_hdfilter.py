@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from denseseg.hdfilter import (
 from denseseg.synth import render_scene
 from oracles import (
     gaussian_filter_bruteforce,
+    kernel_block_cdist,
     lattice_embed_reference,
     lattice_filter_reference,
     relative_l2,
@@ -231,6 +233,44 @@ class TestExactFilter:
         v = np.column_stack([np.ones(feats.n), rng.uniform(0.5, 1.5, feats.n)])
         want = gaussian_filter_bruteforce(v, feats.coords)
         np.testing.assert_allclose(gaussian_filter_exact(v, feats), want, rtol=1e-12, atol=0.0)
+
+
+class TestKernelBlock:
+    """The strip kernel behind the exact filter and the sampled gain adds
+    squared coordinate differences one dimension at a time."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_matches_cdist_byte_for_byte(self, d):
+        """Negative coordinates, entries either side of the subnormal cut,
+        and ~1e160 coordinates whose squared differences overflow to inf
+        (a 0 entry, and no warning) or cancel (a coincident huge pair). With
+        6007 columns a chunk holds 6 rows, so 37 rows end in a partial one."""
+        rng = np.random.default_rng(d)
+        rows = rng.uniform(-30.0, 30.0, (37, d))
+        cols = rng.uniform(-30.0, 30.0, (6007, d))
+        assert hdfilter._chunk_rows(len(cols)) == 6
+        rows[3] = 1e160
+        cols[7, -1] = -1.2e160
+        cols[8] = rows[3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hdfilter._kernel_block(rows, cols)
+        assert got.tobytes() == kernel_block_cdist(rows, cols).tobytes()
+        assert got[3, 8] == 1.0 and (got[:, 7] == 0.0).all()
+        assert ((got > 0.0) & (got < 1e-100)).any()
+
+    @pytest.mark.parametrize("n", [7, 300, 4096, 20011])
+    def test_sampled_gain_matches_one_block(self, n):
+        """Strips of one kernel chunk give the gain of one block over every
+        sampled row and column, bit for bit: each row sums the same columns."""
+        rng = np.random.default_rng(n)
+        f = rng.normal(0.0, 4.0, (n, 5))
+        mass = rng.uniform(0.5, 2.0, n)
+        rows = hdfilter._stride_sample(n, hdfilter.GAIN_SAMPLE_ROWS)
+        cols = hdfilter._stride_sample(n, hdfilter.GAIN_SAMPLE_COLUMNS)
+        exact = kernel_block_cdist(f[rows], f[cols]).sum(axis=1)
+        want = float(np.median(exact * (n / len(cols)) / mass[rows]))
+        assert hdfilter.sampled_mass_gain(FeaturePoints(f), mass) == want
 
 
 class TestFold:

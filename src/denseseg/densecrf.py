@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .core import LabelMap, RgbImage, ShapeError
-from .hdfilter import (EXACT_STRIP_ROWS, FeaturePoints, PermutohedralLattice, _tick,
+from .hdfilter import (FeaturePoints, PermutohedralLattice, _row_masses, _tick,
                        gaussian_filter_exact, sampled_mass_gain)
 from .metrics import IGNORE_LABEL, confusion, mean_iou
 
@@ -235,19 +235,11 @@ def _spatial_row_masses(height: int, width: int, sigma_gamma: float) -> np.ndarr
     """Exact per-pixel sums of the spatial kernel over the whole grid.
 
     The kernel separates over rows and columns, so the full (n x n) row sum
-    is an outer product of two 1-d mass vectors. Each is summed in blocks of
-    rows, so scratch grows with the side, not its square; a row's sum is
-    the same as over the whole (side x side) matrix.
+    is an outer product of two 1-d mass vectors, each summed in strips
+    (hdfilter._row_masses): scratch grows with the side, not its square.
     """
-    def axis_mass(n: int) -> np.ndarray:
-        pos = np.arange(n, dtype=np.float64) / sigma_gamma
-        mass = np.empty(n)
-        for lo in range(0, n, EXACT_STRIP_ROWS):
-            d = pos[lo:lo + EXACT_STRIP_ROWS, None] - pos[None, :]
-            mass[lo:lo + EXACT_STRIP_ROWS] = np.exp(-0.5 * d * d).sum(axis=1)
-        return mass
-
-    return np.outer(axis_mass(height), axis_mass(width)).reshape(-1)
+    ys, xs = (np.arange(n, dtype=np.float64)[:, None] / sigma_gamma for n in (height, width))
+    return np.outer(_row_masses(ys, ys), _row_masses(xs, xs)).reshape(-1)
 
 
 def _filter(structure, values: np.ndarray, timer: dict | None) -> np.ndarray:

@@ -130,6 +130,14 @@ def gaussian_filter_exact(values, feats: FeaturePoints) -> np.ndarray:
     return out[:, 0] if squeezed else out
 
 
+def _row_masses(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Float64 unit Gaussian mass of each row point over the column points, in
+    strips of one kernel chunk (at most 320 KB); a row's sum is the same at any height."""
+    step = _chunk_rows(len(cols))
+    return np.concatenate([_kernel_block(rows[lo:lo + step], cols).sum(axis=1)
+                           for lo in range(0, len(rows), step)])
+
+
 def _stride_sample(n: int, count: int) -> np.ndarray:
     """At most `count` indices into range(n) at one stride; all n if n <= count."""
     return np.arange(0, n, -(-n // count))
@@ -137,14 +145,10 @@ def _stride_sample(n: int, count: int) -> np.ndarray:
 
 def sampled_mass_gain(feats: FeaturePoints, lattice_mass: np.ndarray) -> float:
     """Median over fixed-stride rows of exact row mass / lattice row mass, each
-    exact mass summed over fixed-stride columns and scaled by n / columns.
-    Each row sums the same columns at any strip height, so a strip is one
-    kernel chunk, at most 320 KB."""
+    exact mass summed over fixed-stride columns and scaled by n / columns."""
     n, f = feats.n, feats.coords
     rows, cols = _stride_sample(n, GAIN_SAMPLE_ROWS), _stride_sample(n, GAIN_SAMPLE_COLUMNS)
-    sample, step = f[cols], _chunk_rows(len(cols))
-    exact = np.concatenate([_kernel_block(f[rows[lo:lo + step]], sample).sum(axis=1)
-                            for lo in range(0, len(rows), step)])
+    exact = _row_masses(f[rows], f[cols])
     return float(np.median(exact * (n / len(cols)) / lattice_mass[rows]))
 
 
@@ -196,24 +200,89 @@ def _elevate(coords: np.ndarray) -> np.ndarray:
     return elevated
 
 
+def _embed(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per point: its remainder-0 vertex's first d coordinates (int64, (d, n)),
+    its elevated coordinates' ranks ((d+1, n), narrow signed int) and its
+    float64 (n, d+1) barycentric weights in rank order."""
+    n, d = coords.shape
+    dp1 = d + 1
+    # keys stay consistent below 2^40 embedded units, at most d (d+1) |feature|
+    if not np.abs(coords).max() < 2.0**40 / (d * dp1):
+        raise ValueError("kernel widths too narrow for the lattice; use wider kernels")
+
+    elevated = _elevate(coords)  # (d+1, n), columns sum to 0
+
+    # Nearest zero-remainder point along each coordinate (ties go down).
+    # Two work buffers: the upper candidate, and the gap elevated - rem0
+    # to the lower one, moved to the upper one where that is nearer.
+    rem0 = elevated / dp1
+    up = np.ceil(rem0)
+    up *= dp1
+    np.floor(rem0, out=rem0)
+    rem0 *= dp1
+    gap = elevated - rem0
+    pick_up = np.empty((dp1, n), dtype=bool)
+    for i in range(dp1):
+        np.less(up[i] - elevated[i], gap[i], out=pick_up[i])
+    np.copyto(rem0, up, where=pick_up)
+    np.subtract(elevated, up, out=gap, where=pick_up)
+    del up, pick_up
+    # rem0 holds multiples of d+1 below 2^44, so any summation order is exact
+    coord_sums = np.rint(rem0.sum(axis=0) / dp1)
+
+    # rank[i] = how many coordinates exceed coordinate i (ties to the earlier
+    # index), counted by pairwise comparison as in the reference lattice
+    # code, then shifted back onto the canonical simplex range. Shifted
+    # ranks lie in [-d, 2d], so a narrow signed type holds them.
+    rank = np.zeros((dp1, n), dtype=np.min_scalar_type(-2 * d - 1))
+    for i in range(dp1):
+        for k in range(i + 1, dp1):
+            k_first = gap[k] > gap[i]
+            rank[i] += k_first
+            rank[k] += ~k_first
+    rank += coord_sums.astype(rank.dtype)
+    wrap = dp1 * ((rank < 0).astype(rank.dtype) - (rank > d))
+    rank += wrap
+    # only where it moves, so rem0 keeps the signs of its zeros
+    np.add(rem0, wrap, out=rem0, where=wrap != 0)
+    del coord_sums, wrap
+
+    # Barycentric weights from the fractional remainders in rank order
+    # (rem0 may have moved in the wraparound fix above): vertex k gets
+    # s[d - k] - s[d + 1 - k], and vertex 0 also the wrapped 1 - s[0].
+    frac = np.subtract(elevated, rem0, out=gap)
+    frac /= dp1
+    rem0_int = np.rint(rem0[:d]).astype(np.int64)
+    del elevated, rem0
+    by_rank = np.empty_like(frac)
+    points = np.arange(n)
+    for i in range(dp1):
+        by_rank[rank[i], points] = frac[i]
+    del frac, gap
+    bary = np.empty((n, dp1))
+    np.subtract(by_rank[d - 1::-1], by_rank[:0:-1], out=bary.T[1:])
+    bary[:, 0] = by_rank[d] + (1.0 - by_rank[0])
+    return rem0_int, rank, bary
+
+
 class PermutohedralLattice:
     """Simplex lattice for one fixed set of feature points.
 
     Exposed structure (read-only): ``offsets`` maps each point to the ids of
     its d+1 enclosing vertices (ids start at 1; row 0 of every vertex-indexed
-    array is an all-zero sentinel for missing neighbors), ``barycentric``
-    holds the matching interpolation weights, ``vertex_keys`` the integer
-    lattice coordinates (first d of d+1, the last is implied by the zero-sum
-    constraint), and ``blur_n1``/``blur_n2`` the neighbor ids along each of
-    the d+1 blur directions.
+    array is an all-zero sentinel for missing neighbors), ``vertex_keys``
+    holds the integer lattice coordinates (first d of d+1, the last is
+    implied by the zero-sum constraint), and ``blur_n1``/``blur_n2`` the
+    neighbor ids along each of the d+1 blur directions.
 
-    A built lattice keeps, per point, its float64 ``barycentric`` row, its
-    int32 vertex ids (``offsets`` is a view of the splat matrix's indices,
-    which the slice matrix shares) and the float32 splat and slice weights:
-    20 bytes per point corner. Per vertex it keeps ``vertex_keys`` and one
-    sparse matrix per blur direction, whose int32 indices hold each vertex's
-    own id and its two neighbours' (``blur_n1``/``blur_n2`` are views of
-    them). The build's scratch is freed when it returns.
+    A built lattice keeps, per point, its int32 vertex ids (``offsets`` is a
+    view of the splat matrix's indices, which the slice matrix shares) and
+    the float32 splat and slice weights: 12 bytes per point corner. Per
+    vertex it keeps ``vertex_keys`` and one sparse matrix per blur
+    direction, whose int32 indices hold each vertex's own id and its two
+    neighbours' (``blur_n1``/``blur_n2`` are views of them). The build's
+    scratch is freed when it returns, and its float64 barycentric weights
+    (``_embed``) once the slice is written.
 
     ``calibrate``, if given, maps the lattice's own (n,) float64 row masses
     to the gain the slice applies: one scalar, or one per point. That gain,
@@ -221,7 +290,7 @@ class PermutohedralLattice:
     """
 
     def __init__(self, feats: FeaturePoints, calibrate=None) -> None:
-        alpha = self._build(feats)
+        alpha, bary = self._build(feats)
         # Asked for only now, so features the lattice refuses never reach an
         # exact mass pass and the build's scratch is freed; the lattice mass
         # is the filtered all-ones.
@@ -231,84 +300,23 @@ class PermutohedralLattice:
             mass = np.maximum(self.filter(ones), np.finfo(np.float32).tiny)
             self.gain = np.asarray(calibrate(mass.astype(np.float64)), np.float32)
             gain = alpha * self.gain.astype(np.float64)
-            self._slice.data = (self.barycentric * gain[..., None]).astype(np.float32).ravel()
+            self._slice.data = (bary * gain[..., None]).astype(np.float32).ravel()
 
-    def _build(self, feats: FeaturePoints) -> float:
-        """Geometry, splat, blur and uncalibrated slice; returns the slice's alpha.
+    def _build(self, feats: FeaturePoints) -> tuple[float, np.ndarray]:
+        """Splat, blur and uncalibrated slice; returns the slice's alpha and
+        the float64 barycentric weights, which the lattice does not keep.
 
-        Scratch is a few (d+1, n) buffers, each dropped once used. Points
-        are grouped by enclosing simplex first, so vertex keys are spelled
+        Points are grouped by enclosing simplex first, so vertex keys are spelled
         out once per simplex, not once per point. Row lookups compare `_fold` keys.
         """
-        n, d = feats.n, feats.d
+        rem0_int, rank, bary = _embed(feats.coords)
+        self.num_points, self.dim = n, d = feats.n, feats.d
         dp1 = d + 1
-        # keys stay consistent below 2^40 embedded units, at most d (d+1) |feature|
-        if not np.abs(feats.coords).max() < 2.0**40 / (d * dp1):
-            raise ValueError("kernel widths too narrow for the lattice; use wider kernels")
-        self.num_points = n
-        self.dim = d
-
-        elevated = _elevate(feats.coords)  # (d+1, n), columns sum to 0
-
-        # Nearest zero-remainder point along each coordinate (ties go down).
-        # Two work buffers: the upper candidate, and the gap elevated - rem0
-        # to the lower one, moved to the upper one where that is nearer.
-        rem0 = elevated / dp1
-        up = np.ceil(rem0)
-        up *= dp1
-        np.floor(rem0, out=rem0)
-        rem0 *= dp1
-        gap = elevated - rem0
-        pick_up = np.empty((dp1, n), dtype=bool)
-        for i in range(dp1):
-            np.less(up[i] - elevated[i], gap[i], out=pick_up[i])
-        np.copyto(rem0, up, where=pick_up)
-        np.subtract(elevated, up, out=gap, where=pick_up)
-        del up, pick_up
-        # rem0 holds multiples of d+1 below 2^44, so any summation order is exact
-        coord_sums = np.rint(rem0.sum(axis=0) / dp1)
-
-        # rank[i] = how many coordinates exceed coordinate i (ties to the earlier
-        # index), counted by pairwise comparison as in the reference lattice
-        # code, then shifted back onto the canonical simplex range. Shifted
-        # ranks lie in [-d, 2d], so a narrow signed type holds them.
-        rank = np.zeros((dp1, n), dtype=np.min_scalar_type(-2 * d - 1))
-        for i in range(dp1):
-            for k in range(i + 1, dp1):
-                k_first = gap[k] > gap[i]
-                rank[i] += k_first
-                rank[k] += ~k_first
-        rank += coord_sums.astype(rank.dtype)
-        wrap = dp1 * ((rank < 0).astype(rank.dtype) - (rank > d))
-        rank += wrap
-        # only where it moves, so rem0 keeps the signs of its zeros
-        np.add(rem0, wrap, out=rem0, where=wrap != 0)
-        del coord_sums, wrap
-
-        # Barycentric weights from the fractional remainders in rank order
-        # (rem0 may have moved in the wraparound fix above): vertex k gets
-        # s[d - k] - s[d + 1 - k], and vertex 0 also the wrapped 1 - s[0].
-        frac = np.subtract(elevated, rem0, out=gap)
-        frac /= dp1
-        rem0_int = np.rint(rem0[:d]).astype(np.int64)
-        del elevated, rem0
-        by_rank = np.empty_like(frac)
-        points = np.arange(n)
-        for i in range(dp1):
-            by_rank[rank[i], points] = frac[i]
-        del frac, gap
-        bary = np.empty((n, dp1))
-        np.subtract(by_rank[d - 1::-1], by_rank[:0:-1], out=bary.T[1:])
-        bary[:, 0] = by_rank[d] + (1.0 - by_rank[0])
-        del by_rank
-        self.barycentric = bary
-
         # A simplex is its home vertex rem0 and the ranks of its first d
         # coordinates (the last of each is implied); one point stands for it.
         simplex = np.unique(_fold([*rem0_int, *rank[:d]]), return_inverse=True)[1]
         members = np.empty(simplex.max() + 1, dtype=np.intp)
-        members[simplex] = points
-        del points
+        members[simplex] = np.arange(n)
         home, rank = rem0_int[:, members], rank[:, members]
         del rem0_int, members
 
@@ -370,7 +378,7 @@ class PermutohedralLattice:
         slice_weights = np.multiply(bary, alpha, out=np.empty((n, dp1), np.float32))
         self._slice = scipy.sparse.csr_matrix(
             (slice_weights.ravel(), self._splat.indices, self._splat.indptr), shape=(n, m))
-        return alpha
+        return alpha, bary
 
     def filter(self, values, timer: dict | None = None) -> np.ndarray:
         """Splat -> blur -> slice; float32 output approximating the exact filter."""

@@ -323,18 +323,21 @@ def lattice_embed_reference(coords: np.ndarray):
     return offsets, bary[:, :dp1], vertex_keys, blur_n1, blur_n2
 
 
-def lattice_filter_reference(lattice, values) -> np.ndarray:
+def lattice_filter_reference(lattice, coords, values) -> np.ndarray:
     """A built lattice's splat, blur and slice in float64, times the gain
-    2^(d+1) / (1 + 2^-d), read from its offsets, barycentric weights and
-    blur neighbour ids alone; no per-point calibration gain.
+    2^(d+1) / (1 + 2^-d), read from its offsets and blur neighbour ids and
+    the build's float64 barycentric weights for the feature `coords`
+    (hdfilter._embed); no per-point calibration gain.
 
     Splat adds each point's weighted values into its d+1 vertices, each blur
     direction replaces every vertex by 1/4, 1/2, 1/4 of its two neighbours
     and itself (row 0, the missing-neighbour sentinel, stays 0), and slice
     takes each point's weighted sum of its vertices.
     """
+    from denseseg.hdfilter import _embed
+
     v = np.asarray(values, dtype=np.float64)
-    offsets, bary = lattice.offsets, lattice.barycentric
+    offsets, bary = lattice.offsets, _embed(coords)[2]
     n, dp1 = offsets.shape
     lat = np.zeros((lattice.num_vertices + 1, v.shape[1]))
     for k in range(dp1):

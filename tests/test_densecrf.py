@@ -602,9 +602,9 @@ class TestConvergenceBehavior:
 
     @pytest.mark.parametrize("size", [64, 65])
     def test_lattice_agrees_with_all_pairs_across_exact_mass_limit(self, size):
-        """64x64 is the largest image whose bilateral masses are exact and
-        65x65 the smallest past EXACT_MASS_MAX_PIXELS; the exact backend
-        refuses the latter, so the reference filters all pairs itself."""
+        """64x64 is the largest image the exact backend accepts and 65x65
+        the smallest past EXACT_MASS_MAX_PIXELS, which it refuses, so the
+        reference filters all pairs itself."""
         assert (size * size <= EXACT_MASS_MAX_PIXELS) == (size == 64)
         unary, image, _ = scene32(0, blur=2, noise=0.8, size=size)
         params = PairwiseParams()
@@ -1067,11 +1067,14 @@ class TestBilateralRowMasses:
 
 
 class TestSpatialRowMasses:
-    @pytest.mark.parametrize("sigma_gamma", [0.5, 3.0, 40.0])
+    @pytest.mark.parametrize("sigma_gamma", [1e-3, 0.5, 3.0, 40.0, 1e6])
     def test_blocks_match_the_full_matrix(self, sigma_gamma):
-        """Summed in blocks of rows, each mass is bit-identical to the whole
-        difference matrix's row sum, on sides either side of a block."""
-        for height, width in ((1, 1), (5, 63), (64, 65), (129, 2), (3, 200)):
+        """Summed in strips of rows, each mass is bit-identical to the whole
+        difference matrix's row sum, on sides within one strip and, at 700
+        (57 rows a strip), across several; at sigma_gamma 1e-3 every
+        off-diagonal entry is 0, at 1e6 every entry is near 1."""
+        assert hdfilter._chunk_rows(700) == 57
+        for height, width in ((1, 1), (5, 63), (64, 65), (129, 2), (3, 200), (1, 700)):
             want = spatial_row_masses_full_matrix(height, width, sigma_gamma)
             assert np.array_equal(_spatial_row_masses(height, width, sigma_gamma), want)
 

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
@@ -77,9 +78,14 @@ def integer_rows(draw):
     return np.array(rows, dtype=np.int64) * np.array(scale) + np.array(shift)
 
 
+def embed_weights(pts) -> np.ndarray:
+    """The build's own float64 barycentric weights for these points."""
+    return hdfilter._embed(FeaturePoints(pts).coords)[2]
+
+
 def assert_matches_direct_construction(lat, pts):
     offsets, bary, keys, n1, n2 = lattice_embed_reference(pts)
-    for got, want in ((lat.offsets, offsets), (lat.barycentric, bary),
+    for got, want in ((lat.offsets, offsets), (embed_weights(pts), bary),
                       (lat.vertex_keys, keys), (lat.blur_n1, n1), (lat.blur_n2, n2)):
         assert np.array_equal(got, want)
 
@@ -309,13 +315,13 @@ class TestLatticeStructure:
         lat = PermutohedralLattice(FeaturePoints(pts))
         assert lat.num_vertices == 4
         assert (lat.offsets == lat.offsets[0]).all()
-        assert np.allclose(lat.barycentric, lat.barycentric[0])
+        bary = embed_weights(pts)
+        assert np.allclose(bary, bary[0])
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_barycentric_weights_valid(self, d):
         rng = np.random.default_rng(90 + d)
-        lat = PermutohedralLattice(cluster(rng, 300, d, spread=3.0))
-        b = lat.barycentric
+        b = embed_weights(cluster(rng, 300, d, spread=3.0).coords)
         assert b.min() >= -1e-12
         assert b.max() <= 1.0 + 1e-12
         assert np.abs(b.sum(axis=1) - 1.0).max() <= 1e-6
@@ -348,8 +354,9 @@ class TestLatticeStructure:
         """Huge feature magnitudes make folded keys that pass 2^63 and are
         renumbered; every blur link must still have its reverse link."""
         rng = np.random.default_rng(97)
-        lat = PermutohedralLattice(FeaturePoints(rng.normal(scale=3e8, size=(40, 5))))
-        b = lat.barycentric
+        pts = rng.normal(scale=3e8, size=(40, 5))
+        lat = PermutohedralLattice(FeaturePoints(pts))
+        b = embed_weights(pts)
         assert b.min() >= -1e-12 and np.abs(b.sum(axis=1) - 1).max() <= 1e-6
         for j in range(lat.dim + 1):
             for v in range(1, lat.num_vertices + 1):
@@ -379,7 +386,7 @@ class TestLatticeStructure:
         lat = PermutohedralLattice(FeaturePoints(pts))
         offsets, bary, keys, n1, n2 = lattice_embed_reference(pts)
         assert np.array_equal(lat.offsets, offsets)
-        assert np.array_equal(lat.barycentric, bary)
+        assert np.array_equal(embed_weights(pts), bary)
         assert np.array_equal(lat.vertex_keys, keys)
         assert np.array_equal(lat.blur_n1, n1)
         assert np.array_equal(lat.blur_n2, n2)
@@ -504,7 +511,45 @@ class TestLatticeStructure:
         b = PermutohedralLattice(FeaturePoints(pts))
         assert np.array_equal(a.vertex_keys, b.vertex_keys)
         assert np.array_equal(a.offsets, b.offsets)
-        assert np.array_equal(a.barycentric, b.barycentric)
+        assert np.array_equal(a._splat.data, b._splat.data)
+        assert np.array_equal(a._slice.data, b._slice.data)
+        assert np.array_equal(embed_weights(pts), embed_weights(pts))
+
+
+class TestCalibratedSlice:
+    @pytest.mark.parametrize("gain", [None, "scalar", "per point"])
+    @pytest.mark.parametrize("kernel", ["spatial", "bilateral"])
+    def test_slice_is_embed_weights_times_alpha_and_gain(self, kernel, gain):
+        """The slice weights are float32(weight * alpha * gain) from the
+        build's own float64 weights, bit for bit, and the lattice keeps no
+        float64 array with one row per point once they are written."""
+        if kernel == "spatial":
+            feats = spatial_features(45, 60, 3.0)
+        else:
+            feats = bilateral_features(render_scene(bench_scene(45, 60, 21, 0))[0], 60.0, 10.0)
+        calibrate = {
+            None: None,
+            "scalar": lambda mass: hdfilter.sampled_mass_gain(feats, mass),
+            "per point": lambda mass: np.linspace(0.5, 2.0, len(mass)) / mass,
+        }[gain]
+        lat = PermutohedralLattice(feats, calibrate)
+        d = feats.d
+        scale = 2.0 ** (d + 1) / (1.0 + 2.0 ** -d)
+        if gain is not None:
+            assert lat.gain.dtype == np.float32 and lat.gain.size == (1 if gain == "scalar" else feats.n)
+            scale = scale * lat.gain.astype(np.float64)
+        want = (embed_weights(feats.coords) * np.asarray(scale)[..., None]).astype(np.float32)
+        assert lat._slice.data.tobytes() == want.tobytes()
+
+        def arrays(value):
+            if isinstance(value, list):
+                return [a for item in value for a in arrays(item)]
+            if scipy.sparse.issparse(value):
+                return [value.data, value.indices, value.indptr]
+            return [value] if isinstance(value, np.ndarray) else []
+
+        kept = [a for value in vars(lat).values() for a in arrays(value)]
+        assert not [a for a in kept if a.dtype == np.float64 and len(a) == feats.n]
 
 
 class TestLatticeFilter:
@@ -594,7 +639,7 @@ class TestLatticeFilter:
             feats = bilateral_features(RgbImage(pixels), 20.0, 5.0)
         lat = PermutohedralLattice(feats)
         v = rng.random((feats.n, columns)).astype(np.float32)
-        want = lattice_filter_reference(lat, v)
+        want = lattice_filter_reference(lat, feats.coords, v)
         got = lat.filter(v).astype(np.float64)
         assert (np.abs(got - want) / want).max() <= 8 * np.finfo(np.float32).eps
 

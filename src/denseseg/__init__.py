@@ -1,135 +1,1 @@
 """Dense segmentation toolkit: atrous filtering, pyramids, and CRF refinement."""
-
-from denseseg.aspp import (
-    AsppBranch,
-    AsppConfig,
-    aspp_forward,
-    multiscale_max_fuse,
-    random_config,
-    rescale_pyramid,
-)
-from denseseg.atrous import (
-    AtrousRate,
-    ConvKernel,
-    atrous_conv_2d_holes,
-    atrous_conv_2d_subsampled,
-    effective_kernel_size,
-    upsample_bilinear,
-)
-from denseseg.core import (
-    FeatureMap,
-    FormatError,
-    LabelMap,
-    RgbImage,
-    ShapeError,
-    read_pgm,
-    read_ppm,
-    read_tensor,
-    write_pgm,
-    write_ppm,
-    write_tensor,
-)
-from denseseg.densecrf import (
-    FilterCacheError,
-    MeanFieldState,
-    PairwiseFilters,
-    PairwiseParams,
-    SearchRanges,
-    UnaryField,
-    energy,
-    grid_search,
-    init_state,
-    labels_from_state,
-    mean_field_step,
-    run_inference,
-    unary_from_probs,
-)
-from denseseg.hdfilter import (
-    FeaturePoints,
-    PermutohedralLattice,
-    gaussian_filter_exact,
-    lattice_filter_normalized,
-)
-from denseseg.metrics import (
-    IGNORE_LABEL,
-    ConfusionMatrix,
-    TrimapBand,
-    UndefinedMetricError,
-    confusion,
-    mean_iou,
-    per_class_iou,
-    trimap_mask,
-    trimap_miou,
-)
-from denseseg.synth import (
-    Disk,
-    Rect,
-    SceneSpec,
-    box_blur,
-    corrupt_unary,
-    make_instance,
-    render_scene,
-    scene_from_text,
-)
-
-__all__ = [
-    "AsppBranch",
-    "AsppConfig",
-    "AtrousRate",
-    "ConfusionMatrix",
-    "ConvKernel",
-    "Disk",
-    "FeatureMap",
-    "FeaturePoints",
-    "FilterCacheError",
-    "FormatError",
-    "IGNORE_LABEL",
-    "LabelMap",
-    "MeanFieldState",
-    "PairwiseFilters",
-    "PairwiseParams",
-    "PermutohedralLattice",
-    "Rect",
-    "RgbImage",
-    "SceneSpec",
-    "SearchRanges",
-    "ShapeError",
-    "TrimapBand",
-    "UnaryField",
-    "UndefinedMetricError",
-    "aspp_forward",
-    "atrous_conv_2d_holes",
-    "atrous_conv_2d_subsampled",
-    "box_blur",
-    "confusion",
-    "corrupt_unary",
-    "effective_kernel_size",
-    "energy",
-    "gaussian_filter_exact",
-    "grid_search",
-    "init_state",
-    "labels_from_state",
-    "lattice_filter_normalized",
-    "make_instance",
-    "mean_field_step",
-    "mean_iou",
-    "multiscale_max_fuse",
-    "per_class_iou",
-    "random_config",
-    "read_pgm",
-    "read_ppm",
-    "read_tensor",
-    "render_scene",
-    "rescale_pyramid",
-    "run_inference",
-    "scene_from_text",
-    "trimap_mask",
-    "trimap_miou",
-    "unary_from_probs",
-    "upsample_bilinear",
-    "write_pgm",
-    "write_ppm",
-    "write_tensor",
-]
-
-__version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command line front end: refine, eval, tune, synth, bench.
 
-Exit codes are fixed for scripting: 0 success, 2 validation failures,
-3 I/O failures (missing or undecodable files).
+Exit codes are fixed for scripting: 0 success, 2 validation failures
+(a request too large to allocate included), 3 I/O failures (missing or
+undecodable files).
 """
 
 import argparse
@@ -25,12 +26,12 @@ from .core import (
     write_tensor,
 )
 from .densecrf import (
-    COARSE_SIGMA_ALPHA,
-    COARSE_SIGMA_BETA,
-    COARSE_W1,
+    BACKENDS,
+    DEFAULT_ITERATIONS,
     PairwiseParams,
     SearchRanges,
     UnaryField,
+    _check_label_count,
     grid_search,
     run_inference,
 )
@@ -41,14 +42,16 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 
+# refine's kernel flags, in --help order
+_PAIRWISE_FLAGS = ("w1", "w2", "sigma_alpha", "sigma_beta", "sigma_gamma")
+
 
 def _fmt(value: float) -> str:
     return format(float(value), ".6f")
 
 
 def _params_from_args(args) -> PairwiseParams:
-    return PairwiseParams(w1=args.w1, sigma_alpha=args.sigma_alpha, sigma_beta=args.sigma_beta,
-                          w2=args.w2, sigma_gamma=args.sigma_gamma)
+    return PairwiseParams(**{name: getattr(args, name) for name in _PAIRWISE_FLAGS})
 
 
 def _add_common(parser) -> None:
@@ -57,14 +60,14 @@ def _add_common(parser) -> None:
                              "other subcommands run on one thread (default 1)")
 
 
-def _add_crf_flags(parser) -> None:
-    parser.add_argument("--iters", type=int, default=10)
-    parser.add_argument("--w1", type=float, default=4.0)
-    parser.add_argument("--w2", type=float, default=3.0)
-    parser.add_argument("--sigma-alpha", type=float, default=60.0)
-    parser.add_argument("--sigma-beta", type=float, default=5.0)
-    parser.add_argument("--sigma-gamma", type=float, default=3.0)
-    parser.add_argument("--backend", choices=("exact", "lattice"), default="lattice")
+def _add_crf_flags(parser, pairwise: bool) -> None:
+    parser.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS)
+    if pairwise:
+        defaults = PairwiseParams()
+        for name in _PAIRWISE_FLAGS:
+            parser.add_argument("--" + name.replace("_", "-"), type=float,
+                                default=getattr(defaults, name))
+    parser.add_argument("--backend", choices=BACKENDS, default="lattice")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-out", default=None, help="optional DLT1 of final beliefs")
     p.add_argument("--factor", type=int, default=8,
                    help="bilinear upsampling factor applied to the unary")
-    _add_crf_flags(p)
+    _add_crf_flags(p, pairwise=True)
     _add_common(p)
 
     p = sub.add_parser("eval", help="score a predicted label map against truth")
@@ -96,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="grid-search CRF parameters over a manifest")
     p.add_argument("--manifest", required=True,
                    help="text file of 'unary image gt' path triples")
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--backend", choices=("exact", "lattice"), default="lattice")
+    _add_crf_flags(p, pairwise=False)
     p.add_argument("--w1-values", default=None,
                    help="comma-separated coarse grid for the bilateral weight")
     p.add_argument("--sigma-alpha-values", default=None)
@@ -121,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=500)
     p.add_argument("--width", type=int, default=375)
     p.add_argument("--labels", type=int, default=21)
-    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS)
     p.add_argument("--seed", type=int, default=0, help="scene seed")
     _add_common(p)
 
@@ -158,6 +160,7 @@ def cmd_eval(args) -> int:
     pred = read_pgm(args.pred)
     gt = read_pgm(args.gt)
     classes = args.classes if args.classes is not None else _derive_classes(pred, gt)
+    _check_label_count(classes)
     cm = confusion(pred, gt, classes)
     lines = ["class_id,iou"]
     for class_id, iou in enumerate(per_class_iou(cm)):
@@ -188,21 +191,13 @@ def _read_manifest(path: str) -> list:
     return cases
 
 
-def _parse_axis(text: str | None, default: tuple) -> tuple:
-    if text is None:
-        return default
-    return tuple(float(tok) for tok in text.split(","))
-
-
 def cmd_tune(args) -> int:
     cases = _read_manifest(args.manifest)
     if not cases:
         raise ValueError(f"manifest {args.manifest} lists no cases")
-    ranges = SearchRanges(
-        w1=_parse_axis(args.w1_values, COARSE_W1),
-        sigma_alpha=_parse_axis(args.sigma_alpha_values, COARSE_SIGMA_ALPHA),
-        sigma_beta=_parse_axis(args.sigma_beta_values, COARSE_SIGMA_BETA),
-    )
+    given = {name: getattr(args, f"{name}_values") for name in ("w1", "sigma_alpha", "sigma_beta")}
+    ranges = SearchRanges(**{name: tuple(float(tok) for tok in text.split(","))
+                             for name, text in given.items() if text is not None})
     best, report = grid_search(cases, ranges=ranges, iters=args.iters, backend=args.backend,
                                threads=args.threads)
     lines = ["stage,w1,sigma_alpha,sigma_beta,mean_miou"]
@@ -307,8 +302,8 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"denseseg {args.command}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ShapeError, ValueError) as exc:
-        print(f"denseseg {args.command}: {exc}", file=sys.stderr)
+    except (ShapeError, ValueError, MemoryError) as exc:
+        print(f"denseseg {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

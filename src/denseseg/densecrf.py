@@ -581,19 +581,16 @@ def grid_search(
             if point not in scores:
                 groups.setdefault(point[1:], []).append(point)
         if groups:
-            with ThreadPoolExecutor(min(threads, len(groups) * len(cases))) as pool:
-                runs = [[pool.submit(unit, [PairwiseParams(*p) for p in group], case)
-                         for case in cases] for group in groups.values()]
-                try:
-                    for group, per_case in zip(groups.values(), runs):
-                        totals = [0.0] * len(group)
-                        for run in per_case:
-                            for k, score in enumerate(run.result()):
-                                totals[k] += score
-                        scores.update((p, total / len(cases)) for p, total in zip(group, totals))
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
+            batches = [[PairwiseParams(*p) for p in group] for group in groups.values()]
+            with ThreadPoolExecutor(min(threads, len(batches) * len(cases))) as pool:
+                # results come in submission order; the first failure cancels the rest
+                runs = pool.map(unit, [b for b in batches for _ in cases], cases * len(batches))
+                for group in groups.values():
+                    totals = [0.0] * len(group)
+                    for _ in cases:
+                        for k, score in enumerate(next(runs)):
+                            totals[k] += score
+                    scores.update((p, total / len(cases)) for p, total in zip(group, totals))
         report.extend(GridPoint(stage, PairwiseParams(*point), scores[point]) for point in points)
         # max keeps the first of equal scores, so `keep` wins ties
         return max([*keep, *points], key=scores.__getitem__)
@@ -601,6 +598,7 @@ def grid_search(
     axes = (ranges.w1, ranges.sigma_alpha, ranges.sigma_beta)
     winner = scan("coarse", list(product(*axes)))
     near = product(*(_refine_axis(axis, best) for axis, best in zip(axes, winner)))
-    refined = sorted(p for p in set(near) if 0 <= p[0] <= MAX_WEIGHT and p[1] > 0 and p[2] > 0)
+    refined = sorted(p for p in set(near)
+                     if 0 <= p[0] <= MAX_WEIGHT and 0 < p[1] < np.inf and 0 < p[2] < np.inf)
     best = scan("refine", refined, keep=(winner,))
     return PairwiseParams(*best), report

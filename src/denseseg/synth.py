@@ -17,9 +17,13 @@ import numpy as np
 from scipy import ndimage
 
 from .core import FormatError, LabelMap, RgbImage
-from .densecrf import UnaryField, _softmax_rows, unary_from_probs
+from .densecrf import UnaryField, _check_label_count, _softmax_rows, unary_from_probs
+from .metrics import IGNORE_LABEL
 
-MAX_SHAPE_LABEL = 254
+# Largest colour jitter or logit noise amplitude: its normal draws stay far
+# below float max, so neither the jittered colours nor the softmax of the
+# noisy logits can overflow (past about 1e3 either is pure noise anyway).
+MAX_NOISE = 1e300
 
 
 def _check_color(color) -> tuple:
@@ -31,12 +35,19 @@ def _check_color(color) -> tuple:
 
 def _check_label(label: int) -> int:
     label = int(label)
-    if not 1 <= label <= MAX_SHAPE_LABEL:
+    if not 1 <= label < IGNORE_LABEL:
         raise ValueError(
-            f"shape labels must be in 1..{MAX_SHAPE_LABEL} "
-            f"(0 is background, 255 is reserved), got {label}"
+            f"shape labels must be in 1..{IGNORE_LABEL - 1} "
+            f"(0 is background, {IGNORE_LABEL} is reserved), got {label}"
         )
     return label
+
+
+def _check_amplitude(name: str, value) -> float:
+    value = float(value)
+    if not 0 <= value <= MAX_NOISE:
+        raise ValueError(f"{name} must be in [0, {MAX_NOISE:g}], got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -62,9 +73,7 @@ class Rect:
                 f"rect extent must be >= 1, got ({self.height}, {self.width})"
             )
         object.__setattr__(self, "color", _check_color(self.color))
-        object.__setattr__(self, "jitter", float(self.jitter))
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        object.__setattr__(self, "jitter", _check_amplitude("jitter", self.jitter))
 
     def fits(self, height: int, width: int) -> bool:
         return self.top + self.height <= height and self.left + self.width <= width
@@ -94,9 +103,7 @@ class Disk:
         if self.radius <= 0:
             raise ValueError(f"disk radius must be > 0, got {self.radius}")
         object.__setattr__(self, "color", _check_color(self.color))
-        object.__setattr__(self, "jitter", float(self.jitter))
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        object.__setattr__(self, "jitter", _check_amplitude("jitter", self.jitter))
 
     def fits(self, height: int, width: int) -> bool:
         return (
@@ -146,9 +153,8 @@ class SceneSpec:
         object.__setattr__(self, "blur", int(self.blur))
         if self.blur < 0:
             raise ValueError(f"blur radius must be >= 0, got {self.blur}")
-        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
+        object.__setattr__(self, "noise_sigma",
+                           _check_amplitude("noise sigma", self.noise_sigma))
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -190,7 +196,8 @@ def box_blur(plane: np.ndarray, radius: int) -> np.ndarray:
     if radius < 0:
         raise ValueError(f"blur radius must be >= 0, got {radius}")
     plane = np.asarray(plane, dtype=np.float64)
-    size = 2 * radius + 1
+    # past the image extent every window already spans the whole image
+    size = 2 * min(radius, max(plane.shape)) + 1
     total = ndimage.uniform_filter(plane, size=size, mode="constant")
     share = ndimage.uniform_filter(np.ones_like(plane), size=size, mode="constant")
     return total / share
@@ -209,8 +216,7 @@ def corrupt_unary(
     """
     if num_labels < 2:
         raise ValueError(f"need at least 2 labels, got {num_labels}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise sigma must be >= 0, got {noise_sigma}")
+    noise_sigma = _check_amplitude("noise sigma", noise_sigma)
     if gt.labels.max() >= num_labels:
         raise ValueError(
             f"ground truth uses label {gt.labels.max()} outside 0..{num_labels - 1}"
@@ -237,6 +243,7 @@ def make_instance(
     """
     if num_labels is None:
         num_labels = spec.num_labels
+    _check_label_count(num_labels)
     top = max((s.label for s in spec.shapes), default=0)
     if top >= num_labels:
         raise ValueError(f"scene uses label {top}, needs num_labels > {top}")
@@ -292,7 +299,7 @@ def _shape_from_line(kind: str, body: str, lineno: int):
         if kind == "rect":
             return Rect(**kwargs)
         return Disk(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise FormatError(f"line {lineno}: bad {kind}: {exc}") from exc
 
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from denseseg import cli, densecrf
+from denseseg import cli, densecrf, synth
 from denseseg.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, bench_scene, main
 from denseseg.core import (
     FeatureMap,
@@ -21,7 +21,14 @@ from denseseg.core import (
     write_ppm,
     write_tensor,
 )
-from denseseg.densecrf import run_inference
+from denseseg.densecrf import (
+    BACKENDS,
+    DEFAULT_ITERATIONS,
+    GridPoint,
+    PairwiseParams,
+    SearchRanges,
+    run_inference,
+)
 from denseseg.synth import make_instance
 
 SCENE = """\
@@ -34,6 +41,8 @@ seed = 3
 rect = label:1 top:4 left:4 height:12 width:14 color:200,60,60 jitter:3.0
 disk = label:2 row:22 col:22 radius:7 color:60,200,60 jitter:3.0
 """
+# a side no allocation can cover: a scene of it is refused outright
+HUGE = 2**24
 
 
 def run_cli(*argv) -> int:
@@ -65,6 +74,10 @@ def synth_files(tmp_path, factor=1, seed=None, scene=SCENE):
 
 def parse_csv(text: str) -> list:
     return [line.split(",") for line in text.strip().splitlines()]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called after a check that should have failed first")
 
 
 class TestRefine:
@@ -353,6 +366,33 @@ class TestTune:
         manifest.write_text("a.dlt b.ppm c.pgm\n")
         assert run_cli("tune", "--manifest", manifest) == EXIT_IO
 
+    def test_refine_candidates_stay_finite(self, tmp_path, capsys):
+        """Half a coarse step past 1.7e308 overflows to inf; the refine stage
+        drops that candidate as it drops sigmas <= 0."""
+        manifest = write_manifest(tmp_path, sizes=((48, 64),))
+        rc = run_cli("tune", "--manifest", manifest, "--iters", 1, "--w1-values", "3",
+                     "--sigma-alpha-values", "1,1.7e308", "--sigma-beta-values", "4")
+        assert rc == EXIT_OK, capsys.readouterr().err
+        rows = parse_csv(capsys.readouterr().out)
+        assert "refine" in [r[0] for r in rows]
+        assert all(0 < float(r[2]) < np.inf for r in rows[1:])
+
+    def test_unset_axes_keep_the_coarse_grid(self, tmp_path, monkeypatch, capsys):
+        """Only the axes given on the command line replace SearchRanges'
+        own defaults."""
+        manifest = write_manifest(tmp_path)
+        seen = []
+
+        def fake_search(cases, ranges, **kwargs):
+            seen.append(ranges)
+            return PairwiseParams(), [GridPoint("coarse", PairwiseParams(), 1.0)]
+
+        monkeypatch.setattr(cli, "grid_search", fake_search)
+        assert run_cli("tune", "--manifest", manifest, "--sigma-beta-values", "2,7") == EXIT_OK
+        assert seen == [SearchRanges(sigma_beta=(2.0, 7.0))]
+        assert seen[0].w1 == densecrf.COARSE_W1
+        assert seen[0].sigma_alpha == densecrf.COARSE_SIGMA_ALPHA
+
 
 class TestSynth:
     def test_fixed_seed_reproduces_bytes(self, tmp_path):
@@ -466,6 +506,82 @@ class TestSeedFlag:
             run_cli(*argv, "--seed", 5)
         assert exc.value.code == EXIT_VALIDATION
         assert "--seed" in capsys.readouterr().err
+
+
+class TestOversizedRequests:
+    """A request too large to allocate exits 2 with numpy's message, and a
+    label count past the label maps' range exits 2 before anything is
+    allocated. Every side is 2^24 or more, so each failing allocation is
+    refused outright and no memory is touched."""
+
+    def test_huge_scene_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "scene.txt"
+        spec.write_text(f"height = {HUGE}\nwidth = {HUGE}\n")
+        assert run_cli("synth", "--spec", spec, "--out-gt", tmp_path / "gt.pgm") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("denseseg synth: Unable to allocate")
+        assert not (tmp_path / "gt.pgm").exists()
+
+    def test_huge_bench_exits_2(self, capsys):
+        rc = run_cli("bench", "--height", HUGE, "--width", HUGE, "--iters", 1)
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("denseseg bench: Unable to allocate")
+        assert captured.out == ""
+
+    def test_bare_memory_error_exits_2(self, monkeypatch, capsys):
+        def out_of_memory(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "eval", out_of_memory)
+        assert run_cli("eval", "--pred", "p.pgm", "--gt", "g.pgm") == EXIT_VALIDATION
+        assert capsys.readouterr().err == "denseseg eval: out of memory\n"
+
+    @pytest.mark.parametrize("classes", [256, HUGE])
+    def test_eval_classes_checked_before_counting(self, tmp_path, monkeypatch, capsys, classes):
+        paths = synth_files(tmp_path)
+        monkeypatch.setattr(cli, "confusion", refuse)
+        rc = run_cli("eval", "--pred", paths["gt"], "--gt", paths["gt"], "--classes", classes)
+        assert rc == EXIT_VALIDATION
+        assert "label maps hold at most 255 classes" in capsys.readouterr().err
+
+    def test_eval_accepts_255_classes(self, tmp_path, capsys):
+        paths = synth_files(tmp_path)
+        assert run_cli("eval", "--pred", paths["gt"], "--gt", paths["gt"],
+                       "--classes", 255) == EXIT_OK
+        assert parse_csv(capsys.readouterr().out)[255] == ["254", "nan"]
+
+    @pytest.mark.parametrize("labels", [256, HUGE])
+    @pytest.mark.parametrize("command", ["synth", "bench"])
+    def test_label_count_checked_before_rendering(self, tmp_path, monkeypatch, capsys,
+                                                  command, labels):
+        spec = tmp_path / "scene.txt"
+        spec.write_text(SCENE)
+        monkeypatch.setattr(synth, "render_scene", refuse)
+        argv = (["synth", "--spec", spec] if command == "synth"
+                else ["bench", "--height", 16, "--width", 16, "--iters", 1])
+        assert run_cli(*argv, "--labels", labels) == EXIT_VALIDATION
+        assert "label maps hold at most 255 classes" in capsys.readouterr().err
+
+
+class TestFlagDefaults:
+    """The CLI's CRF defaults are the library's."""
+
+    def test_refine_defaults(self):
+        args = cli.build_parser().parse_args(["refine", "--unary", "u", "--image", "i",
+                                              "--out", "o"])
+        assert cli._params_from_args(args) == PairwiseParams()
+        assert args.iters == DEFAULT_ITERATIONS
+
+    @pytest.mark.parametrize("argv", [["tune", "--manifest", "m"], ["bench"]])
+    def test_iteration_default(self, argv):
+        assert cli.build_parser().parse_args(argv).iters == DEFAULT_ITERATIONS
+
+    @pytest.mark.parametrize("command", ["refine", "tune"])
+    def test_backend_choices(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        assert "--backend {" + ",".join(BACKENDS) + "}" in capsys.readouterr().out
 
 
 def sized_scene(height, width):

@@ -1,6 +1,11 @@
-"""Property tests: whatever bytes the DLT1, PPM and PGM readers get, the CLI
-exits 2 (validation) or 3 (I/O, undecodable file), or 0 if the bytes happen
-to form valid input, and never escapes with a traceback."""
+"""Property tests: whatever bytes the DLT1, PPM and PGM readers get, whatever
+scene text `synth` reads and whatever integers the size and count flags
+take, the CLI exits 2 (validation) or 3 (I/O, undecodable file), or 0 if the
+input happens to be valid, and never escapes with a traceback.
+
+Scene sides are at most 64 or at least 2^24: a scene of the first kind is
+cheap to render, and one of the second is refused by its first allocation,
+so no example touches much memory."""
 
 import contextlib
 import io
@@ -32,6 +37,40 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 WHITESPACE = st.sampled_from([b" ", b"\n", b"\t", b"\r", b"  ", b"\n\n", b""])
+HUGE = 2**24
+# counts and sizes: small ones, 0 and negatives included, or huge ones
+COUNTS = st.one_of(st.integers(-3, 300), st.integers(HUGE, 2**70), st.integers(-2**70, -HUGE))
+NUMBERS = st.one_of(
+    COUNTS.map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "x", "1e400", "-0", "0x10", "1_0"]),
+)
+
+
+def mostly(valid, junk=NUMBERS):
+    """`valid` mostly and `junk` now and then, so that many scenes render
+    and most of the rest fail on one value."""
+    return st.integers(0, 9).flatmap(lambda k: junk if k == 9 else valid)
+
+
+def small(low: int, high: int):
+    return mostly(st.integers(low, high).map(str))
+
+
+def amplitude(high: float):
+    return mostly(st.floats(0, high).map(repr))
+
+
+COLOR = mostly(st.tuples(*[st.integers(0, 255)] * 3),
+               st.lists(st.integers(-1, 300), max_size=4)).map(lambda xs: ",".join(map(str, xs)))
+SCALARS = {"blur": small(0, 3), "seed": small(0, 2**32), "noise_sigma": amplitude(2.0),
+           "background": COLOR}
+SHAPE_FIELDS = {
+    "rect": {"label": small(1, 4), "top": small(0, 32), "left": small(0, 32),
+             "height": small(1, 32), "width": small(1, 32), "color": COLOR},
+    "disk": {"label": small(1, 4), "row": small(0, 32), "col": small(0, 32),
+             "radius": mostly(st.floats(0.5, 16).map(repr)), "color": COLOR},
+}
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +234,80 @@ def test_header_number_length(valid, digits, code):
         "refine", "--unary", valid["unary.dlt"], "--image", image,
         "--out", valid["root"] / "out.pgm", "--factor", 1, "--iters", 1,
     ]) == code
+
+
+@st.composite
+def scene_text(draw):
+    """Scene-spec text: height and width both at most 64 or both at least
+    2^24, the other keys and the shape fields mostly valid but now and then
+    huge, negative, non-finite or malformed, shape fields maybe dropped,
+    repeated or unknown, lines in any order with maybe one bad line; or its
+    truncation (small scenes only), or raw text."""
+    huge = draw(st.booleans())
+    side = st.integers(HUGE, 2**70) if huge else mostly(st.integers(1, 64), st.integers(-1, 0))
+    lines = [f"height = {draw(side)}", f"width = {draw(side)}"]
+    for key in draw(st.lists(st.sampled_from(sorted(SCALARS)), unique=True)):
+        lines.append(f"{key} = {draw(SCALARS[key])}")
+    for kind in draw(st.lists(st.sampled_from(sorted(SHAPE_FIELDS)), max_size=3)):
+        values = {**SHAPE_FIELDS[kind], "jitter": amplitude(8.0), "hue": small(0, 1)}
+        names = list(SHAPE_FIELDS[kind]) + draw(st.sampled_from([[], ["jitter"]]))
+        if not draw(mostly(st.just(True), st.just(False))):
+            names = draw(st.lists(st.sampled_from(sorted(values)), max_size=8))
+        lines.append(f"{kind} = " + " ".join(f"{name}:{draw(values[name])}" for name in names))
+    lines.append(draw(mostly(st.just(""), st.sampled_from(["height = 3", "hue = 1", "rect"]))))
+    text = "\n".join(draw(st.permutations(lines))) + "\n"
+    # a cut could leave one huge side and one small one, which would render
+    cut = st.just(text) if huge else st.integers(0, len(text)).map(lambda k: text[:k])
+    return draw(mostly(st.just(text), st.one_of(st.text(max_size=64), cut)))
+
+
+@FUZZ
+@given(text=scene_text())
+@example(text=f"height = {HUGE}\nwidth = {HUGE}\n")
+@example(text="height = 4\nwidth = 4\nblur = 1000000000000\nnoise_sigma = 1e300\n")
+@example(text="height = 4\nwidth = 4\nrect = label:1 top:0 left:0 height:2 width:2 "
+              "color:1,2,3 jitter:nan\n")
+def test_synth_survives_any_scene_text(valid, text):
+    spec = valid["root"] / "fuzz-scene.txt"
+    spec.write_text(text, encoding="utf-8")
+    argv = ["synth", "--spec", spec]
+    for flag in ("--out-image", "--out-gt", "--out-unary"):
+        argv += [flag, valid["root"] / f"scene{flag}"]
+    assert_contract(run_quietly(argv))
+
+
+@pytest.fixture(scope="module")
+def scene(valid):
+    path = valid["root"] / "scene.txt"
+    path.write_text("height = 4\nwidth = 4\nrect = label:1 top:0 left:0 height:2 width:2 "
+                    "color:200,10,10\n")
+    return path
+
+
+@FUZZ
+@given(classes=st.one_of(st.none(), COUNTS), widths=st.lists(COUNTS, max_size=3))
+@example(classes=HUGE, widths=[1])
+def test_eval_survives_any_counts(valid, classes, widths):
+    argv = ["eval", "--pred", valid["gt.pgm"], "--gt", valid["gt.pgm"]]
+    argv += [] if classes is None else ["--classes", classes]
+    for width in widths:
+        argv += ["--trimap", width]
+    assert_contract(run_quietly(argv))
+
+
+@FUZZ
+@given(labels=st.one_of(st.none(), COUNTS), factor=COUNTS)
+@example(labels=HUGE, factor=1)
+def test_synth_survives_any_counts(valid, scene, labels, factor):
+    argv = ["synth", "--spec", scene, "--out-unary", valid["root"] / "counts.dlt",
+            "--factor", factor]
+    argv += [] if labels is None else ["--labels", labels]
+    assert_contract(run_quietly(argv))
+
+
+@FUZZ
+@given(labels=COUNTS)
+@example(labels=HUGE)
+def test_bench_survives_any_label_count(labels):
+    assert_contract(run_quietly(["bench", "--height", 1, "--width", 1, "--labels", labels,
+                                 "--iters", 1]))

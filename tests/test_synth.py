@@ -7,6 +7,7 @@ from scipy import ndimage
 from denseseg.core import FormatError, LabelMap
 from denseseg.densecrf import init_state
 from denseseg.synth import (
+    MAX_NOISE,
     Disk,
     Rect,
     SceneSpec,
@@ -73,6 +74,15 @@ class TestShapeValidation:
         with pytest.raises(ValueError):
             Disk(label=1, row=2, col=2, radius=1.0, color=RED, jitter=-0.5)
 
+    @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), 1e308])
+    def test_jitter_bounded(self, jitter):
+        """A NaN jitter used to paint NaN into the canvas, whose cast to
+        uint8 is undefined, and 1e308 overflowed its product with the noise."""
+        with pytest.raises(ValueError, match="jitter must be in"):
+            Rect(label=1, top=0, left=0, height=1, width=1, color=RED, jitter=jitter)
+        with pytest.raises(ValueError, match="jitter must be in"):
+            Disk(label=1, row=2, col=2, radius=1.0, color=RED, jitter=jitter)
+
 
 class TestSceneSpec:
     def test_empty_scene_allowed(self):
@@ -103,6 +113,22 @@ class TestSceneSpec:
             SceneSpec(height=4, width=4, blur=-1)
         with pytest.raises(ValueError):
             SceneSpec(height=4, width=4, noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1e308])
+    def test_noise_sigma_bounded(self, sigma):
+        """A NaN sigma used to pass as no noise, and draws at infinite or
+        near-float-max sigma overflowed the softmax's max subtraction."""
+        with pytest.raises(ValueError, match="noise sigma must be in"):
+            SceneSpec(height=4, width=4, noise_sigma=sigma)
+        with pytest.raises(ValueError, match="noise sigma must be in"):
+            corrupt_unary(LabelMap(np.zeros((2, 2), np.uint8)), 2, noise_sigma=sigma)
+
+    def test_largest_noise_renders_finite_outputs(self):
+        shape = Rect(label=1, top=0, left=0, height=8, width=8, color=RED, jitter=MAX_NOISE)
+        unary, image, _ = make_instance(SceneSpec(height=8, width=8, shapes=(shape,),
+                                                  blur=1, noise_sigma=MAX_NOISE))
+        assert np.isfinite(unary.theta).all()
+        assert {0, 255} >= set(np.unique(image.data))
 
 
 class TestRenderScene:
@@ -180,6 +206,16 @@ class TestBoxBlur:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             box_blur(np.zeros((3, 3)), -1)
+
+    @pytest.mark.parametrize("radius", [7, 2**40])
+    def test_radius_past_the_extent_is_the_whole_image_mean(self, radius):
+        """Past the image extent every window spans the whole image, so a
+        larger radius changes nothing and allocates nothing more (2^40 used
+        to ask for a 2^41-element buffer)."""
+        plane = np.random.default_rng(0).random((4, 6))
+        got = box_blur(plane, radius)
+        assert np.array_equal(got, box_blur(plane, 6))
+        np.testing.assert_allclose(got, plane.mean(), rtol=1e-12)
 
 
 class TestCorruptUnary:

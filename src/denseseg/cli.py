@@ -269,6 +269,8 @@ def bench_scene(height: int, width: int, labels: int, seed: int) -> SceneSpec:
 def cmd_bench(args) -> int:
     if args.labels < 2:
         raise ValueError(f"--labels must be at least 2, got {args.labels}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     spec = bench_scene(args.height, args.width, args.labels, args.seed)
     unary, image, _ = make_instance(spec, num_labels=args.labels)
     timer: dict = {}

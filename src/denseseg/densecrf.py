@@ -555,6 +555,8 @@ def grid_search(
     sigma_gamma is fixed, so each image size's spatial kernel is built once,
     before any unit starts, and units only read it.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     cases = list(cases)
     if not cases:
         raise ValueError("grid search needs at least one validation case")

@@ -11,7 +11,9 @@ streams, the first consumed by shape color jitter (one full-grid normal
 field per shape, in shape order), the second by the logit noise.
 """
 
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy import ndimage
@@ -26,54 +28,53 @@ from .metrics import IGNORE_LABEL
 MAX_NOISE = 1e300
 
 
-def _check_color(color) -> tuple:
-    rgb = tuple(int(c) for c in color)
-    if len(rgb) != 3 or any(c < 0 or c > 255 for c in rgb):
-        raise ValueError(f"color must be three values in 0..255, got {color!r}")
+def _number(name: str, value, cast, low, high=math.inf):
+    """`value` through `cast` (int() truncates fractions), finite and in
+    [low, high], else a ValueError naming the field."""
+    finite = -math.inf < value < math.inf and (cast is int or abs(value) <= sys.float_info.max)
+    number = cast(value) if finite else math.nan
+    if not low <= number <= high:
+        raise ValueError(f"{name.replace('_', ' ')} must be in [{low!r}, {high!r}], got {value}")
+    return number
+
+
+def _in(low, high=math.inf, **kwargs):
+    """A numeric field, converted by its annotated type (a colour's three
+    values by int()) and checked by `_number` against [low, high]."""
+    return field(metadata={"range": (low, high)}, **kwargs)
+
+
+def _convert(f, value):
+    """`value` for the `_in` field `f`, by its type and range."""
+    if f.type is not tuple:
+        return _number(f.name, value, f.type, *f.metadata["range"])
+    rgb = tuple(_number(f.name, c, int, *f.metadata["range"]) for c in value)
+    if len(rgb) != 3:
+        raise ValueError(f"{f.name} must be three values, got {len(rgb)}")
     return rgb
 
 
-def _check_label(label: int) -> int:
-    label = int(label)
-    if not 1 <= label < IGNORE_LABEL:
-        raise ValueError(
-            f"shape labels must be in 1..{IGNORE_LABEL - 1} "
-            f"(0 is background, {IGNORE_LABEL} is reserved), got {label}"
-        )
-    return label
-
-
-def _check_amplitude(name: str, value) -> float:
-    value = float(value)
-    if not 0 <= value <= MAX_NOISE:
-        raise ValueError(f"{name} must be in [0, {MAX_NOISE:g}], got {value}")
-    return value
+def _check_fields(obj) -> None:
+    """Convert and check every `_in` field of a frozen dataclass in place."""
+    for f in fields(obj):
+        if f.metadata:
+            object.__setattr__(obj, f.name, _convert(f, getattr(obj, f.name)))
 
 
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned filled rectangle."""
 
-    label: int
-    top: int
-    left: int
-    height: int
-    width: int
-    color: tuple
-    jitter: float = 0.0
+    label: int = _in(1, IGNORE_LABEL - 1)  # 0 is background
+    top: int = _in(0)
+    left: int = _in(0)
+    height: int = _in(1)
+    width: int = _in(1)
+    color: tuple = _in(0, 255)
+    jitter: float = _in(0, MAX_NOISE, default=0.0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "label", _check_label(self.label))
-        for name in ("top", "left", "height", "width"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.top < 0 or self.left < 0:
-            raise ValueError(f"rect origin must be >= 0, got ({self.top}, {self.left})")
-        if self.height < 1 or self.width < 1:
-            raise ValueError(
-                f"rect extent must be >= 1, got ({self.height}, {self.width})"
-            )
-        object.__setattr__(self, "color", _check_color(self.color))
-        object.__setattr__(self, "jitter", _check_amplitude("jitter", self.jitter))
+        _check_fields(self)
 
     def fits(self, height: int, width: int) -> bool:
         return self.top + self.height <= height and self.left + self.width <= width
@@ -88,22 +89,15 @@ class Rect:
 class Disk:
     """Filled disk: pixels with (y - row)^2 + (x - col)^2 <= radius^2."""
 
-    label: int
-    row: int
-    col: int
-    radius: float
-    color: tuple
-    jitter: float = 0.0
+    label: int = _in(1, IGNORE_LABEL - 1)
+    row: int = _in(-math.inf)
+    col: int = _in(-math.inf)
+    radius: float = _in(math.ulp(0.0))  # any positive radius
+    color: tuple = _in(0, 255)
+    jitter: float = _in(0, MAX_NOISE, default=0.0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "label", _check_label(self.label))
-        object.__setattr__(self, "row", int(self.row))
-        object.__setattr__(self, "col", int(self.col))
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ValueError(f"disk radius must be > 0, got {self.radius}")
-        object.__setattr__(self, "color", _check_color(self.color))
-        object.__setattr__(self, "jitter", _check_amplitude("jitter", self.jitter))
+        _check_fields(self)
 
     def fits(self, height: int, width: int) -> bool:
         return (
@@ -124,21 +118,16 @@ class Disk:
 class SceneSpec:
     """Full recipe for one ground-truthed instance."""
 
-    height: int
-    width: int
+    height: int = _in(1)
+    width: int = _in(1)
     shapes: tuple = ()
-    background: tuple = (0, 0, 0)
-    blur: int = 0
-    noise_sigma: float = 0.0
-    seed: int = 0
+    background: tuple = _in(0, 255, default=(0, 0, 0))
+    blur: int = _in(0, default=0)
+    noise_sigma: float = _in(0, MAX_NOISE, default=0.0)
+    seed: int = _in(0, default=0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "height", int(self.height))
-        object.__setattr__(self, "width", int(self.width))
-        if self.height < 1 or self.width < 1:
-            raise ValueError(
-                f"scene must be at least 1x1, got {self.height}x{self.width}"
-            )
+        _check_fields(self)
         shapes = tuple(self.shapes)
         for shape in shapes:
             if not isinstance(shape, (Rect, Disk)):
@@ -149,13 +138,6 @@ class SceneSpec:
                     f"fit inside {self.height}x{self.width}"
                 )
         object.__setattr__(self, "shapes", shapes)
-        object.__setattr__(self, "background", _check_color(self.background))
-        object.__setattr__(self, "blur", int(self.blur))
-        if self.blur < 0:
-            raise ValueError(f"blur radius must be >= 0, got {self.blur}")
-        object.__setattr__(self, "noise_sigma",
-                           _check_amplitude("noise sigma", self.noise_sigma))
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def num_labels(self) -> int:
@@ -192,15 +174,18 @@ def render_scene(spec: SceneSpec) -> tuple:
 
 
 def box_blur(plane: np.ndarray, radius: int) -> np.ndarray:
-    """Mean over the (2r+1)^2 window clipped to the image bounds."""
+    """Mean over the (2r+1)^2 window clipped to the image bounds, of an
+    (h, w) plane or of each plane of an (h, w, planes) stack."""
     if radius < 0:
         raise ValueError(f"blur radius must be >= 0, got {radius}")
     plane = np.asarray(plane, dtype=np.float64)
     # past the image extent every window already spans the whole image
-    size = 2 * min(radius, max(plane.shape)) + 1
-    total = ndimage.uniform_filter(plane, size=size, mode="constant")
-    share = ndimage.uniform_filter(np.ones_like(plane), size=size, mode="constant")
-    return total / share
+    size = 2 * min(radius, max(plane.shape[:2])) + 1
+    planes = (1,) * (plane.ndim - 2)  # no averaging across planes
+    total = ndimage.uniform_filter(plane, size=(size, size, *planes), mode="constant")
+    share = ndimage.uniform_filter(np.ones(plane.shape[:2]), size=size, mode="constant")
+    total /= share.reshape(share.shape + planes)
+    return total
 
 
 def corrupt_unary(
@@ -216,7 +201,8 @@ def corrupt_unary(
     """
     if num_labels < 2:
         raise ValueError(f"need at least 2 labels, got {num_labels}")
-    noise_sigma = _check_amplitude("noise sigma", noise_sigma)
+    blur = _number("blur", blur, int, 0)
+    noise_sigma = _number("noise_sigma", noise_sigma, float, 0, MAX_NOISE)
     if gt.labels.max() >= num_labels:
         raise ValueError(
             f"ground truth uses label {gt.labels.max()} outside 0..{num_labels - 1}"
@@ -224,8 +210,7 @@ def corrupt_unary(
     rng = np.random.default_rng(seed)
     z = np.eye(num_labels, dtype=np.float64)[gt.labels]
     if blur > 0:
-        for l in range(num_labels):
-            z[..., l] = box_blur(z[..., l], blur)
+        z = box_blur(z, blur)
     if noise_sigma > 0.0:
         z += rng.normal(0.0, noise_sigma, z.shape)
     return unary_from_probs(_softmax_rows(z))
@@ -247,9 +232,7 @@ def make_instance(
     top = max((s.label for s in spec.shapes), default=0)
     if top >= num_labels:
         raise ValueError(f"scene uses label {top}, needs num_labels > {top}")
-    factor = int(factor)
-    if factor < 1:
-        raise ValueError(f"subsampling factor must be >= 1, got {factor}")
+    factor = _number("factor", factor, int, 1)
     if spec.height % factor or spec.width % factor:
         raise ValueError(
             f"factor {factor} does not tile {spec.height}x{spec.width}: "
@@ -262,45 +245,42 @@ def make_instance(
     return unary, image, gt
 
 
-_SCALAR_KEYS = ("height", "width", "blur", "seed", "noise_sigma", "background")
-_RECT_FIELDS = ("label", "top", "left", "height", "width", "color")
-_DISK_FIELDS = ("label", "row", "col", "radius", "color")
+def _from_fields(cls, items: list, what: str, where: str, number=None, **extra):
+    """Build `cls` from (lineno, name, text) items that name its numeric
+    fields, none twice and each one without a default present. A text
+    reads as its field's type, or as `number` when given, a colour as
+    comma-separated integers, and is checked at its line."""
+    known = {f.name: f for f in fields(cls) if f.metadata}
+    kwargs = {}
+    for lineno, name, text in items:
+        if name not in known:
+            raise FormatError(f"line {lineno}: unknown {what} field {name!r}")
+        if name in kwargs:
+            raise FormatError(f"line {lineno}: duplicate {what} field {name!r}")
+        f = known[name]
+        try:
+            value = [int(c) for c in text.split(",")] if f.type is tuple else (number or f.type)(text)
+            kwargs[name] = _convert(f, value)
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: bad value for {name!r}: {exc}") from exc
+    missing = [name for name, f in known.items() if f.default is MISSING and name not in kwargs]
+    if missing:
+        raise FormatError(f"{where}{what} is missing {', '.join(missing)}")
+    try:
+        return cls(**kwargs, **extra)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where}bad {what}: {exc}") from exc
 
 
-def _parse_shape_tokens(kind: str, body: str, lineno: int) -> dict:
-    fields = {}
+def _shape_from_line(kind: str, body: str, lineno: int):
+    items = []
     for token in body.split():
         key, sep, value = token.partition(":")
         if not sep or not key or not value:
             raise FormatError(f"line {lineno}: malformed {kind} field {token!r}")
-        if key in fields:
-            raise FormatError(f"line {lineno}: duplicate {kind} field {key!r}")
-        fields[key] = value
-    return fields
-
-
-def _shape_from_line(kind: str, body: str, lineno: int):
-    fields = _parse_shape_tokens(kind, body, lineno)
-    required = _RECT_FIELDS if kind == "rect" else _DISK_FIELDS
-    allowed = set(required) | {"jitter"}
-    missing = [name for name in required if name not in fields]
-    if missing:
-        raise FormatError(f"line {lineno}: {kind} is missing {', '.join(missing)}")
-    unknown = sorted(set(fields) - allowed)
-    if unknown:
-        raise FormatError(f"line {lineno}: unknown {kind} field {unknown[0]!r}")
-    try:
-        kwargs = {
-            name: fields[name] if name == "color" else float(fields[name])
-            for name in fields
-        }
-        if "color" in kwargs:
-            kwargs["color"] = tuple(int(c) for c in fields["color"].split(","))
-        if kind == "rect":
-            return Rect(**kwargs)
-        return Disk(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-        raise FormatError(f"line {lineno}: bad {kind}: {exc}") from exc
+        items.append((lineno, key, value))
+    # shape numbers read as floats, so `row:21.0` is a row
+    return _from_fields(Rect if kind == "rect" else Disk, items, kind, f"line {lineno}: ", float)
 
 
 def scene_from_text(text: str) -> SceneSpec:
@@ -310,7 +290,7 @@ def scene_from_text(text: str) -> SceneSpec:
     background (r,g,b).  Each `rect =` / `disk =` line appends one shape
     in file order.  Full-line comments start with '#'.
     """
-    scalars: dict = {}
+    scalars: list = []
     shapes: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -323,24 +303,6 @@ def scene_from_text(text: str) -> SceneSpec:
             raise FormatError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if key in ("rect", "disk"):
             shapes.append(_shape_from_line(key, value, lineno))
-            continue
-        if key not in _SCALAR_KEYS:
-            raise FormatError(f"line {lineno}: unknown key {key!r}")
-        if key in scalars:
-            raise FormatError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            if key == "background":
-                scalars[key] = tuple(int(c) for c in value.split(","))
-            elif key == "noise_sigma":
-                scalars[key] = float(value)
-            else:
-                scalars[key] = int(value)
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    for need in ("height", "width"):
-        if need not in scalars:
-            raise FormatError(f"scene text must set {need!r}")
-    try:
-        return SceneSpec(shapes=tuple(shapes), **scalars)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"invalid scene: {exc}") from exc
+        else:
+            scalars.append((lineno, key, value))
+    return _from_fields(SceneSpec, scalars, "scene", "", shapes=tuple(shapes))

@@ -507,6 +507,28 @@ class TestSeedFlag:
         assert exc.value.code == EXIT_VALIDATION
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where,message", [
+        ("flag", "seed must be in [0, inf], got -1"),
+        ("scene", "line 6: bad value for 'seed': seed must be in [0, inf], got -1"),
+        ("bench", "--seed must be at least 0, got -1"),
+    ])
+    def test_negative_seed_exits_2_naming_the_seed(self, tmp_path, capsys, monkeypatch,
+                                                   where, message):
+        """numpy's seeding used to fail late with an unnamed "expected
+        non-negative integer"; now nothing is rendered."""
+        monkeypatch.setattr(synth, "render_scene", refuse)
+        spec = tmp_path / "scene.txt"
+        spec.write_text(SCENE.replace("seed = 3", "seed = -1") if where == "scene" else SCENE)
+        if where == "bench":
+            argv = ["bench", "--height", 16, "--width", 16, "--labels", 3, "--seed", -1]
+        else:
+            argv = ["synth", "--spec", spec, "--out-gt", tmp_path / "gt.pgm"]
+            argv += ["--seed", -1] if where == "flag" else []
+        assert run_cli(*argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"denseseg {argv[0]}: {message}\n"
+        assert captured.out == ""
+
 
 class TestOversizedRequests:
     """A request too large to allocate exits 2 with numpy's message, and a

@@ -53,8 +53,12 @@ def mostly(valid, junk=NUMBERS):
     return st.integers(0, 9).flatmap(lambda k: junk if k == 9 else valid)
 
 
+# integer scene fields also get no finite value, or a fraction
+NOT_INTEGER = st.sampled_from(["inf", "-inf", "nan", "1e400", "2.5"])
+
+
 def small(low: int, high: int):
-    return mostly(st.integers(low, high).map(str))
+    return mostly(st.integers(low, high).map(str), st.one_of(NUMBERS, NOT_INTEGER))
 
 
 def amplitude(high: float):
@@ -63,7 +67,7 @@ def amplitude(high: float):
 
 COLOR = mostly(st.tuples(*[st.integers(0, 255)] * 3),
                st.lists(st.integers(-1, 300), max_size=4)).map(lambda xs: ",".join(map(str, xs)))
-SCALARS = {"blur": small(0, 3), "seed": small(0, 2**32), "noise_sigma": amplitude(2.0),
+SCALARS = {"blur": small(0, 3), "seed": small(-(2**32), 2**32), "noise_sigma": amplitude(2.0),
            "background": COLOR}
 SHAPE_FIELDS = {
     "rect": {"label": small(1, 4), "top": small(0, 32), "left": small(0, 32),
@@ -240,11 +244,13 @@ def test_header_number_length(valid, digits, code):
 def scene_text(draw):
     """Scene-spec text: height and width both at most 64 or both at least
     2^24, the other keys and the shape fields mostly valid but now and then
-    huge, negative, non-finite or malformed, shape fields maybe dropped,
-    repeated or unknown, lines in any order with maybe one bad line; or its
-    truncation (small scenes only), or raw text."""
+    huge, negative, non-finite or malformed (integer fields also inf, nan,
+    1e400 or a fraction; the seed negative half the time), shape fields
+    maybe dropped, repeated or unknown, lines in any order with maybe one
+    bad line; or its truncation (small scenes only), or raw text."""
     huge = draw(st.booleans())
-    side = st.integers(HUGE, 2**70) if huge else mostly(st.integers(1, 64), st.integers(-1, 0))
+    tiny = mostly(st.integers(1, 64), st.one_of(st.integers(-1, 0), NOT_INTEGER))
+    side = st.integers(HUGE, 2**70) if huge else tiny
     lines = [f"height = {draw(side)}", f"width = {draw(side)}"]
     for key in draw(st.lists(st.sampled_from(sorted(SCALARS)), unique=True)):
         lines.append(f"{key} = {draw(SCALARS[key])}")

@@ -942,6 +942,18 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search([])
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_thread_count_below_one_rejected_before_the_pool(self, monkeypatch, threads):
+        """The pool's own "max_workers must be greater than 0" never shows:
+        the count is checked before any lattice is built or pool started."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("no work may start")
+
+        monkeypatch.setattr(densecrf, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(densecrf, "_spatial_structure", refuse)
+        with pytest.raises(ValueError, match=f"^threads must be at least 1, got {threads}$"):
+            grid_search([split_case(1)], iters=1, threads=threads)
+
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
             SearchRanges(w1=())

@@ -1,7 +1,13 @@
 """Scene rendering, unary corruption, and the scene text format."""
 
+import dataclasses
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from denseseg.core import FormatError, LabelMap
@@ -20,6 +26,7 @@ from denseseg.synth import (
 
 from oracles import box_blur_bruteforce
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 RED = (200, 60, 60)
 GREEN = (60, 200, 60)
 BLUE = (60, 60, 200)
@@ -83,6 +90,60 @@ class TestShapeValidation:
         with pytest.raises(ValueError, match="jitter must be in"):
             Disk(label=1, row=2, col=2, radius=1.0, color=RED, jitter=jitter)
 
+    def test_integer_fields_truncate_fractions(self):
+        rect = Rect(label=1.9, top=2.7, left=-0.5, height=3.99, width=np.float32(4.5),
+                    color=(1.5, 2, 255.9))
+        assert (rect.label, rect.top, rect.left, rect.height, rect.width) == (1, 2, 0, 3, 4)
+        assert rect.color == (1, 2, 255)
+        assert all(type(v) is int for v in (rect.label, rect.top, rect.width, *rect.color))
+        spec = SceneSpec(height=8.5, width=np.int64(9), seed=2**70)
+        assert (type(spec.height), type(spec.width), spec.seed) == (int, int, 2**70)
+
+
+# a valid value for every numeric field; each case swaps one for any number
+VALID = {
+    Rect: dict(label=1, top=0, left=0, height=2, width=2, color=RED, jitter=1.0),
+    Disk: dict(label=1, row=3, col=3, radius=2.0, color=RED, jitter=1.0),
+    SceneSpec: dict(height=8, width=8, background=RED, blur=1, noise_sigma=0.5, seed=3),
+}
+NUMERIC_ARGUMENTS = [(owner, name) for owner, values in VALID.items() for name in values] + [
+    (make_instance, "factor"), (corrupt_unary, "blur"), (corrupt_unary, "noise_sigma")]
+ANY_NUMBER = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 2**70, -(2**70), 10**400]),
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+)
+
+
+def call_with(owner, name, value):
+    if owner is make_instance:
+        return make_instance(SceneSpec(height=8, width=8), factor=value)
+    if owner is corrupt_unary:
+        return corrupt_unary(LabelMap(np.zeros((4, 4), np.uint8)), 2, **{name: value})
+    kwargs = dict(VALID[owner])
+    kwargs[name] = (value, 60, 60) if name in ("color", "background") else value
+    return owner(**kwargs)
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(target=st.sampled_from(NUMERIC_ARGUMENTS), value=ANY_NUMBER)
+def test_every_numeric_field_takes_any_number(target, value):
+    """Every numeric field of the scene classes, and the factor, blur and
+    noise arguments, either takes any float (+-inf, nan and 1e308 included)
+    or any integer up to 2^70 (and 10^400, past float range), or raises a
+    ValueError that names it. int() of an infinity used to escape as
+    OverflowError."""
+    owner, name = target
+    try:
+        built = call_with(owner, name, value)
+    except ValueError as exc:
+        assert name.replace("_", " ") in str(exc)
+        return
+    if owner in VALID:
+        kind = next(f.type for f in dataclasses.fields(owner) if f.name == name)
+        stored = getattr(built, name)
+        assert type(stored[0] if kind is tuple else stored) is (int if kind is tuple else kind)
+
 
 class TestSceneSpec:
     def test_empty_scene_allowed(self):
@@ -122,6 +183,14 @@ class TestSceneSpec:
             SceneSpec(height=4, width=4, noise_sigma=sigma)
         with pytest.raises(ValueError, match="noise sigma must be in"):
             corrupt_unary(LabelMap(np.zeros((2, 2), np.uint8)), 2, noise_sigma=sigma)
+
+    def test_negative_seed_names_the_seed(self):
+        """numpy's seeding used to refuse it only at render time, with an
+        unnamed "expected non-negative integer"."""
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, inf\], got -1$"):
+            SceneSpec(height=4, width=4, seed=-1)
+        with pytest.raises(FormatError, match="seed must be in"):
+            scene_from_text("height = 4\nwidth = 4\nseed = -1\n")
 
     def test_largest_noise_renders_finite_outputs(self):
         shape = Rect(label=1, top=0, left=0, height=8, width=8, color=RED, jitter=MAX_NOISE)
@@ -207,6 +276,17 @@ class TestBoxBlur:
         with pytest.raises(ValueError):
             box_blur(np.zeros((3, 3)), -1)
 
+    @pytest.mark.parametrize("shape,radius", [((63, 47, 21), 2), ((24, 30, 3), 1),
+                                              ((5, 7, 4), 3), ((64, 48, 5), 2)])
+    def test_stack_blurs_each_plane_bit_for_bit(self, shape, radius):
+        """An (h, w, planes) stack blurs in one call exactly as its planes
+        do one at a time, on random and on one-hot planes."""
+        rng = np.random.default_rng(sum(shape))
+        onehot = np.eye(shape[2])[rng.integers(0, shape[2], shape[:2])]
+        for stack in (rng.random(shape), onehot):
+            per_plane = [box_blur(stack[..., k], radius) for k in range(shape[2])]
+            assert np.array_equal(box_blur(stack, radius), np.stack(per_plane, axis=2))
+
     @pytest.mark.parametrize("radius", [7, 2**40])
     def test_radius_past_the_extent_is_the_whole_image_mean(self, radius):
         """Past the image extent every window spans the whole image, so a
@@ -272,6 +352,12 @@ class TestCorruptUnary:
             corrupt_unary(gt, 2)  # scene uses label 2
         with pytest.raises(ValueError):
             corrupt_unary(gt, 3, noise_sigma=-1.0)
+
+    def test_negative_blur_rejected(self):
+        """A negative blur used to skip the blur without a word."""
+        _, gt = render_scene(demo_spec())
+        with pytest.raises(ValueError, match="blur must be in"):
+            corrupt_unary(gt, 3, blur=-1)
 
 
 class TestMakeInstance:
@@ -401,3 +487,29 @@ class TestSceneText:
     def test_bad_scalar_value_rejected(self):
         with pytest.raises(FormatError):
             scene_from_text("height = tall\nwidth = 4\n")
+
+    @pytest.mark.parametrize("line", [
+        "width = x", "background = 1,x,3", "depth = 2", "height = 5", "shapes = 1", "blur",
+        "rect = label:1 top:0", "rect = label:1 top:0 top:1",
+        "disk = label:1 row:2 col:2 radius:1 color:1,2,3 hue:1",
+        "rect = label:1 top:inf left:0 height:1 width:1 color:1,2,3",
+        "disk = label:1 row:2 col:2 radius:1 color:1,2",
+        "blur = -1", "seed = -1", "noise_sigma = nan", "background = 1,2", "width = 0",
+    ])
+    def test_line_errors_name_their_line(self, line):
+        """Every error one line makes names that line; a scalar out of its
+        range (the last five) used to surface only as an invalid scene."""
+        with pytest.raises(FormatError, match="^line 3: "):
+            scene_from_text(f"height = 4\n# comment\n{line}\nwidth = 4\n")
+
+    def test_readme_shape_lines_parse_to_documented_fields(self):
+        """The `rect =` and `disk =` lines of the README's synth section
+        parse to the shapes its prose describes, `row:21.0` an integer row."""
+        section = README.read_text(encoding="utf-8").split("### synth", 1)[1].split("###", 1)[0]
+        lines = [line for line in section.splitlines() if line.startswith(("rect =", "disk ="))]
+        spec = scene_from_text("height = 64\nwidth = 64\n" + "\n".join(lines))
+        assert spec.shapes == (
+            Rect(label=1, top=4, left=5, height=12, width=13, color=(205, 60, 55), jitter=3.0),
+            Disk(label=2, row=21, col=22, radius=6.5, color=(65, 70, 210), jitter=3.0),
+        )
+        assert type(spec.shapes[1].row) is int and type(spec.shapes[1].radius) is float

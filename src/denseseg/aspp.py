@@ -18,6 +18,7 @@ import numpy as np
 from denseseg.atrous import (
     AtrousRate,
     ConvKernel,
+    _rate_value,
     _resample_bilinear,
     atrous_conv_2d_holes,
 )
@@ -157,5 +158,5 @@ def random_config(
             fan_in = dims[0] * dims[1] * dims[2]
             w = rng.normal(scale=1.0 / np.sqrt(fan_in), size=dims)
             kernels.append(ConvKernel(w.astype(np.float32)))
-        branches.append(AsppBranch(AtrousRate(int(r)), tuple(kernels)))
+        branches.append(AsppBranch(AtrousRate(_rate_value(r)), tuple(kernels)))
     return AsppConfig(tuple(branches))

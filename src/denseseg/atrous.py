@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from denseseg.core import FeatureMap, ShapeError
+from denseseg.core import FeatureMap, ShapeError, _store
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,7 @@ class ConvKernel:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.weights), dtype=np.float32)
-        if arr.ndim != 4:
-            raise ShapeError(f"kernel weights must be 4-d (kh, kw, c_in, c_out), got {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ShapeError(f"kernel dimensions must be positive, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("kernel weights must be finite")
-        object.__setattr__(self, "weights", arr)
+        _store(self, "weights", ("k_h", "k_w", "c_in", "c_out"), np.float32, finite=True)
 
     @property
     def k_h(self) -> int:

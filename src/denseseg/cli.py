@@ -31,11 +31,11 @@ from .densecrf import (
     PairwiseParams,
     SearchRanges,
     UnaryField,
-    _check_label_count,
     grid_search,
     run_inference,
 )
-from .metrics import IGNORE_LABEL, confusion, mean_iou, per_class_iou, trimap_miou
+from .metrics import (IGNORE_LABEL, UndefinedMetricError, check_label_count, confusion,
+                      mean_iou, per_class_iou, trimap_miou)
 from .synth import Disk, Rect, SceneSpec, make_instance, scene_from_text
 
 EXIT_OK = 0
@@ -160,14 +160,18 @@ def cmd_eval(args) -> int:
     pred = read_pgm(args.pred)
     gt = read_pgm(args.gt)
     classes = args.classes if args.classes is not None else _derive_classes(pred, gt)
-    _check_label_count(classes)
+    check_label_count(classes)
     cm = confusion(pred, gt, classes)
     lines = ["class_id,iou"]
     for class_id, iou in enumerate(per_class_iou(cm)):
         lines.append(f"{class_id},{'nan' if np.isnan(iou) else _fmt(iou)}")
     lines.append(f"mean,{_fmt(mean_iou(cm))}")
     for width in args.trimap:
-        lines.append(f"trimap_{width},{_fmt(trimap_miou(pred, gt, classes, width))}")
+        try:
+            score = _fmt(trimap_miou(pred, gt, classes, width))
+        except UndefinedMetricError:  # no boundary or no scored pixel: nan, as for an absent class
+            score = "nan"
+        lines.append(f"trimap_{width},{score}")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -24,6 +24,38 @@ class FormatError(ValueError):
     """Byte stream does not parse as the expected file format."""
 
 
+def _checked(values, name: str, axes: tuple, dtype=None, finite: bool = False) -> np.ndarray:
+    """`values` as a C-contiguous array of `dtype`, else an error naming `name`.
+
+    dtype None keeps float32, uncopied, and makes anything else float64; no
+    array is cast to uint8, since the cast wraps. The array needs one extent
+    of at least 1 per named axis, and a "labels" axis at least 2. With `finite`,
+    NaN and infinite entries, overflow of the cast included, raise ValueError.
+    """
+    arr = np.asarray(values)
+    if dtype == np.uint8 and arr.dtype != dtype:
+        raise ValueError(f"{name} must be uint8, got {arr.dtype}")
+    if arr.ndim != len(axes) or 0 in arr.shape:
+        raise ShapeError(f"{name} must be ({', '.join(axes)}) with every extent "
+                         f"at least 1, got shape {arr.shape}")
+    if axes[-1] == "labels" and arr.shape[-1] < 2:
+        raise ShapeError(f"need at least 2 labels, got {arr.shape[-1]}")
+    if dtype is None:
+        dtype = np.float32 if arr.dtype == np.float32 else np.float64
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = np.ascontiguousarray(arr, dtype)
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def _store(obj, field: str, axes: tuple, dtype=None, finite: bool = False) -> np.ndarray:
+    """Check a frozen container's array field by `_checked` and store the result."""
+    arr = _checked(getattr(obj, field), f"{type(obj).__name__}.{field}", axes, dtype, finite)
+    object.__setattr__(obj, field, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """Dense real-valued map of shape (height, width, channels), float32."""
@@ -31,14 +63,7 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.data), dtype=np.float32)
-        if arr.ndim != 3:
-            raise ShapeError(f"feature map must be 3-d (h, w, c), got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ShapeError(f"feature map dimensions must be positive, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("feature map values must be finite")
-        object.__setattr__(self, "data", arr)
+        _store(self, "data", ("height", "width", "channels"), np.float32, finite=True)
 
     @property
     def height(self) -> int:
@@ -60,14 +85,8 @@ class RgbImage:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.data)
-        if arr.dtype != np.uint8:
-            raise ValueError(f"image data must be uint8, got {arr.dtype}")
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ShapeError(f"image must have shape (h, w, 3), got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ShapeError(f"image dimensions must be positive, got {arr.shape}")
-        object.__setattr__(self, "data", arr)
+        if _store(self, "data", ("height", "width", "channels"), np.uint8).shape[2] != 3:
+            raise ShapeError(f"RgbImage.data must have 3 channels, got shape {self.data.shape}")
 
     @property
     def height(self) -> int:
@@ -85,14 +104,7 @@ class LabelMap:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.labels)
-        if arr.dtype != np.uint8:
-            raise ValueError(f"labels must be uint8, got {arr.dtype}")
-        if arr.ndim != 2:
-            raise ShapeError(f"label map must be 2-d, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ShapeError(f"label map dimensions must be positive, got {arr.shape}")
-        object.__setattr__(self, "labels", arr)
+        _store(self, "labels", ("height", "width"), np.uint8)
 
     @property
     def height(self) -> int:

@@ -22,10 +22,10 @@ from itertools import product
 
 import numpy as np
 
-from .core import LabelMap, RgbImage, ShapeError
+from .core import LabelMap, RgbImage, ShapeError, _checked, _store
 from .hdfilter import (FeaturePoints, PermutohedralLattice, _row_masses, _tick,
                        gaussian_filter_exact, sampled_mass_gain)
-from .metrics import IGNORE_LABEL, confusion, mean_iou
+from .metrics import check_label_count, confusion, mean_iou
 
 PROB_CLAMP = 1e-20
 BACKENDS = ("exact", "lattice")
@@ -56,13 +56,6 @@ DEFAULT_ITERATIONS = 10
 
 class FilterCacheError(ValueError):
     """Cached pairwise filters no longer match the image or parameters."""
-
-
-def _float_array(values) -> np.ndarray:
-    """A C-contiguous float array: float32 stays float32, so the lattice's
-    float32 costs and beliefs are not copied; anything else becomes float64."""
-    arr = np.asarray(values)
-    return np.ascontiguousarray(arr, np.float32 if arr.dtype == np.float32 else np.float64)
 
 
 @dataclass(frozen=True)
@@ -98,14 +91,7 @@ class UnaryField:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        t = _float_array(self.theta)
-        if t.ndim != 3:
-            raise ShapeError(f"unary costs must be 3-d, got shape {t.shape}")
-        if t.shape[2] < 2:
-            raise ShapeError(f"need at least 2 labels, got {t.shape[2]}")
-        if not np.isfinite(t).all():
-            raise ValueError("unary costs must be finite")
-        object.__setattr__(self, "theta", t)
+        _store(self, "theta", ("height", "width", "labels"), finite=True)
 
     @property
     def height(self) -> int:
@@ -127,15 +113,12 @@ class MeanFieldState:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _float_array(self.q)
-        if arr.ndim != 3 or arr.shape[2] < 2:
-            raise ShapeError(f"belief must be (h, w, labels>=2), got {arr.shape}")
+        arr = _store(self, "q", ("height", "width", "labels"))
         if not (arr >= 0).all():
-            raise ValueError("belief entries must be >= 0 and not NaN")
+            raise ValueError("MeanFieldState.q entries must be >= 0 and not NaN")
         sums = np.einsum("ijk->ij", arr, dtype=np.float64)
         if np.abs(sums - 1.0).max() > 1e-5:
-            raise ValueError("belief rows must sum to 1 within 1e-5")
-        object.__setattr__(self, "q", arr)
+            raise ValueError("MeanFieldState.q rows must sum to 1 within 1e-5")
 
     @property
     def labels(self) -> int:
@@ -175,13 +158,11 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 def unary_from_probs(probs: np.ndarray) -> UnaryField:
     """Turn per-pixel label probabilities into negative-log costs, with
     probabilities clamped below at PROB_CLAMP."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 3 or p.shape[2] < 2:
-        raise ShapeError(f"probabilities must be (h, w, labels>=2), got {p.shape}")
-    if not np.isfinite(p).all() or (p < 0).any():
-        raise ValueError("probabilities must be finite and >= 0")
-    if np.abs(p.sum(axis=2) - 1.0).max() > 1e-4:
-        raise ValueError("probability rows must sum to 1 within 1e-4")
+    p = _checked(probs, "probabilities", ("height", "width", "labels"), np.float64, finite=True)
+    if (p < 0).any():
+        raise ValueError("probabilities must be >= 0")
+    if np.abs(np.einsum("ijk->ij", p) - 1.0).max() > 1e-4:  # inf, not a warning, on overflow
+        raise ValueError("probabilities must sum to 1 per pixel within 1e-4")
     return UnaryField(-np.log(np.maximum(p, PROB_CLAMP)))
 
 
@@ -374,16 +355,9 @@ def mean_field_step(
     return MeanFieldState(next(_infer(unary, image, [params], 1, backend, filters, timer, state.q)))
 
 
-def _check_label_count(labels: int) -> None:
-    """Label maps hold ids below IGNORE_LABEL, the ignore label."""
-    if labels > IGNORE_LABEL:
-        raise ShapeError(f"label maps hold at most {IGNORE_LABEL} classes (ids 0-"
-                         f"{IGNORE_LABEL - 1}; {IGNORE_LABEL} is the ignore label), got {labels}")
-
-
 def labels_from_state(state: MeanFieldState) -> LabelMap:
     """Per-pixel argmax of the belief; ties go to the lowest label index."""
-    _check_label_count(state.labels)
+    check_label_count(state.labels)
     return LabelMap(np.argmax(state.q, axis=2).astype(np.uint8))
 
 
@@ -400,7 +374,7 @@ def run_inference(
     iters=0 returns the posterior itself, so the label map degenerates to
     the unary argmax.
     """
-    _check_label_count(unary.labels)
+    check_label_count(unary.labels)
     batch = [params or PairwiseParams()]
     q = next(_infer(unary, image, batch, iters, backend, None, timer))
     start = time.perf_counter()
@@ -561,7 +535,7 @@ def grid_search(
     if not cases:
         raise ValueError("grid search needs at least one validation case")
     for unary, _, _ in cases:
-        _check_label_count(unary.labels)
+        check_label_count(unary.labels)
     scores: dict[tuple, float] = {}
     spatial_cache: dict = {}
     if iters > 0:

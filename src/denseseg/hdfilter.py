@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from denseseg.core import ShapeError
+from denseseg.core import ShapeError, _store
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,7 @@ class FeaturePoints:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.coords), dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"feature coords must be 2-d (n, d), got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ShapeError(f"need at least one point and one dimension, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("feature coords must be finite")
-        object.__setattr__(self, "coords", arr)
+        _store(self, "coords", ("n", "d"), np.float64, finite=True)
 
     @property
     def n(self) -> int:

@@ -12,9 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import LabelMap, ShapeError
+from .core import LabelMap, ShapeError, _store
 
 IGNORE_LABEL = 255
+
+
+def check_label_count(labels: int) -> None:
+    """Label maps hold ids below IGNORE_LABEL, the ignore label."""
+    if labels > IGNORE_LABEL:
+        raise ShapeError(f"label maps hold at most {IGNORE_LABEL} classes (ids 0-"
+                         f"{IGNORE_LABEL - 1}; {IGNORE_LABEL} is the ignore label), got {labels}")
 
 
 class UndefinedMetricError(ValueError):
@@ -28,12 +35,11 @@ class ConfusionMatrix:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.ascontiguousarray(np.asarray(self.counts, dtype=np.int64))
-        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 1:
-            raise ShapeError(f"confusion matrix must be square, got {c.shape}")
+        c = _store(self, "counts", ("truth", "prediction"), np.int64)
+        if c.shape[0] != c.shape[1]:
+            raise ShapeError(f"ConfusionMatrix.counts must be square, got {c.shape}")
         if (c < 0).any():
-            raise ValueError("confusion counts must be nonnegative")
-        object.__setattr__(self, "counts", c)
+            raise ValueError("ConfusionMatrix.counts must be nonnegative")
 
     @property
     def labels(self) -> int:
@@ -50,10 +56,7 @@ class TrimapBand:
     def __post_init__(self) -> None:
         if self.width < 1:
             raise ValueError(f"band width must be >= 1, got {self.width}")
-        m = np.ascontiguousarray(np.asarray(self.mask, dtype=bool))
-        if m.ndim != 2:
-            raise ShapeError(f"band mask must be 2-d, got shape {m.shape}")
-        object.__setattr__(self, "mask", m)
+        _store(self, "mask", ("height", "width"), bool)
 
 
 def confusion(

@@ -19,8 +19,8 @@ import numpy as np
 from scipy import ndimage
 
 from .core import FormatError, LabelMap, RgbImage
-from .densecrf import UnaryField, _check_label_count, _softmax_rows, unary_from_probs
-from .metrics import IGNORE_LABEL
+from .densecrf import UnaryField, _softmax_rows, unary_from_probs
+from .metrics import IGNORE_LABEL, check_label_count
 
 # Largest colour jitter or logit noise amplitude: its normal draws stay far
 # below float max, so neither the jittered colours nor the softmax of the
@@ -228,7 +228,7 @@ def make_instance(
     """
     if num_labels is None:
         num_labels = spec.num_labels
-    _check_label_count(num_labels)
+    check_label_count(num_labels)
     top = max((s.label for s in spec.shapes), default=0)
     if top >= num_labels:
         raise ValueError(f"scene uses label {top}, needs num_labels > {top}")

@@ -241,3 +241,13 @@ class TestRandomConfig:
             for k1, k2 in zip(b1.kernels, b2.kernels):
                 assert np.array_equal(k1.weights, k2.weights)
 
+
+    @pytest.mark.parametrize("rate", [2.5, True])
+    def test_rates_take_atrous_rate_check(self, rate):
+        """A fractional rate once truncated to 2 and True became rate 1."""
+        with pytest.raises(TypeError):
+            random_config([rate], c_in=2, hidden=2, labels=2)
+
+    def test_numpy_integer_rate_stored_as_int(self):
+        rate = random_config([np.int64(6)], c_in=2, hidden=2, labels=2).branches[0].rate.r
+        assert type(rate) is int and rate == 6

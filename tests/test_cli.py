@@ -291,6 +291,17 @@ class TestEval:
         wide = float(rows[-1][1])
         assert narrow <= wide
 
+    def test_trimap_without_boundary_reports_nan(self, tmp_path, capsys):
+        """A constant truth map has no band to score: its trimap row reads
+        nan, as an absent class does, and the rows before it still print."""
+        write_pgm(LabelMap(np.ones((6, 7), np.uint8)), str(tmp_path / "gt.pgm"))
+        rc = run_cli("eval", "--pred", tmp_path / "gt.pgm", "--gt", tmp_path / "gt.pgm",
+                     "--trimap", 3)
+        assert rc == EXIT_OK
+        assert parse_csv(capsys.readouterr().out) == [
+            ["class_id", "iou"], ["0", "nan"], ["1", "1.000000"], ["mean", "1.000000"],
+            ["trimap_3", "nan"]]
+
     def test_absent_classes_report_nan(self, tmp_path, capsys):
         paths = synth_files(tmp_path)
         rc = run_cli("eval", "--pred", paths["gt"], "--gt", paths["gt"],

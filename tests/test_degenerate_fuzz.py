@@ -4,11 +4,13 @@
 widths anywhere in (0, max float) run through run_inference on both
 backends and through a one-case grid_search. Each run either refuses its
 input with ShapeError or ValueError or returns valid beliefs: finite,
-non-negative, rows summing to 1.
+non-negative, rows summing to 1. Arrays of any small shape and dtype, NaN
+and infinities mixed in, reach every array container, which either holds
+them or refuses them in its own words.
 """
 
 import numpy as np
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from denseseg.core import LabelMap, RgbImage, ShapeError
@@ -20,6 +22,7 @@ from denseseg.densecrf import (
     run_inference,
     unary_from_probs,
 )
+from test_containers import TARGETS
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -98,3 +101,37 @@ def test_one_case_search_returns_a_grid_point(instance, backend):
     assert (best.w1, best.sigma_alpha, best.sigma_beta) == (
         params.w1, params.sigma_alpha, params.sigma_beta)
     assert all(0.0 <= p.score <= 1.0 for p in report)
+
+
+# Entries of the fuzzed arrays; casts to the drawn dtype wrap, saturate or
+# overflow to inf, as a caller's own cast would.
+ENTRIES = [0.0, 0.25, 0.5, 1.0, 3.0, -1.0, 300.0, 1e30, 1.7976931348623157e308,
+           np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def any_arrays(draw):
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=5)))
+    dtype = draw(st.sampled_from([bool, np.uint8, np.int64, np.float16, np.float32,
+                                  np.float64]))
+    entries = draw(st.lists(st.sampled_from(ENTRIES), min_size=int(np.prod(shape)),
+                            max_size=int(np.prod(shape))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array(entries).reshape(shape).astype(dtype)
+
+
+@PROPERTY
+@given(st.sampled_from(TARGETS), any_arrays())
+@example(TARGETS[-1], np.full((1, 1, 2), np.finfo(np.float64).max))  # sums overflow
+def test_containers_hold_or_refuse_in_their_own_words(target, values):
+    """Every refusal names the container, or its field's labels axis for the
+    two-label rule; none is numpy's own message."""
+    name, make, field, _ = target
+    try:
+        stored = getattr(make(values), field)
+    except (ShapeError, ValueError, TypeError) as exc:
+        event(f"{name} refused")
+        assert name in str(exc) or str(exc).startswith("need at least 2 labels"), str(exc)
+        return
+    event(f"{name} held")
+    assert stored.flags.c_contiguous and 0 not in stored.shape

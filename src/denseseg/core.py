@@ -28,9 +28,11 @@ def _checked(values, name: str, axes: tuple, dtype=None, finite: bool = False) -
     """`values` as a C-contiguous array of `dtype`, else an error naming `name`.
 
     dtype None keeps float32, uncopied, and makes anything else float64; no
-    array is cast to uint8, since the cast wraps. The array needs one extent
-    of at least 1 per named axis, and a "labels" axis at least 2. With `finite`,
-    NaN and infinite entries, overflow of the cast included, raise ValueError.
+    array is cast to uint8, since the cast wraps. An integer or bool dtype
+    takes only values it holds exactly: whole numbers in its range, or 0 and
+    1. The array needs one extent of at least 1 per named axis, and a
+    "labels" axis at least 2. With `finite`, NaN and infinite entries,
+    overflow of the cast included, raise ValueError.
     """
     arr = np.asarray(values)
     if dtype == np.uint8 and arr.dtype != dtype:
@@ -43,10 +45,13 @@ def _checked(values, name: str, axes: tuple, dtype=None, finite: bool = False) -
     if dtype is None:
         dtype = np.float32 if arr.dtype == np.float32 else np.float64
     with np.errstate(over="ignore", invalid="ignore"):
-        arr = np.ascontiguousarray(arr, dtype)
-    if finite and not np.isfinite(arr).all():
+        out = np.ascontiguousarray(arr, dtype)
+    if out.dtype.kind in "bi" and out.dtype != arr.dtype and not np.array_equal(out, arr):
+        held = "only 0 and 1" if out.dtype.kind == "b" else f"whole numbers within {out.dtype}"
+        raise ValueError(f"{name} must hold {held}")
+    if finite and not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite")
-    return arr
+    return out
 
 
 def _store(obj, field: str, axes: tuple, dtype=None, finite: bool = False) -> np.ndarray:

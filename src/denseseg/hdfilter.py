@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -258,6 +259,15 @@ def _embed(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rem0_int, rank, bary
 
 
+def _index_set(size: int, *parts: np.ndarray) -> np.ndarray:
+    """The distinct ids, all below `size`, in `parts`, sorted; a mask is
+    faster than np.unique on large inputs."""
+    mask = np.zeros(size, dtype=bool)
+    for part in parts:
+        mask[part] = True
+    return np.flatnonzero(mask)
+
+
 class PermutohedralLattice:
     """Simplex lattice for one fixed set of feature points.
 
@@ -373,18 +383,61 @@ class PermutohedralLattice:
             (slice_weights.ravel(), self._splat.indices, self._splat.indptr), shape=(n, m))
         return alpha, bary
 
-    def filter(self, values, timer: dict | None = None) -> np.ndarray:
-        """Splat -> blur -> slice; float32 output approximating the exact filter."""
+    def filter(self, values, timer: dict | None = None, stages: list | None = None) -> np.ndarray:
+        """Splat -> blur -> slice; float32 output approximating the exact filter.
+
+        A `stages` list is refilled with the vertex values after the splat
+        and after each blur direction, for `refilter`.
+        """
         v, squeezed = _as_value_matrix(values, self.num_points)
         t0 = time.perf_counter() if timer is not None else 0.0
         lat = self._splat @ np.ascontiguousarray(v, dtype=np.float32)
+        if stages is not None:
+            stages[:] = [lat]
         t0 = _tick(timer, "splat", t0)
         for blur in self._blur:
             lat = blur @ lat
+            if stages is not None:
+                stages.append(lat)
         t0 = _tick(timer, "blur", t0)
         out = self._slice @ lat
         _tick(timer, "slice", t0)
         return out[:, 0] if squeezed else out
+
+    def refilter(self, values: np.ndarray, points: np.ndarray, stages: list,
+                 timer: dict | None = None) -> np.ndarray:
+        """Bring `stages`, filled by `filter` from values that differ from
+        (n, L) `values` only at the rows `points`, up to `values`; return the
+        sorted rows whose filter output can have changed.
+
+        Only the vertices whose inputs changed are recomputed, each by its
+        own row of the products `filter` runs: a vertex sums its points in
+        point order and a blur row reads fixed neighbours either way, so the
+        stages hold the bits a whole `filter` call would.
+        """
+        t0 = time.perf_counter() if timer is not None else 0.0
+        gather, m = self._gather, self.num_vertices + 1
+        verts = _index_set(m, self.offsets[points])
+        stages[0][verts] = gather[verts] @ np.ascontiguousarray(values, dtype=np.float32)
+        t0 = _tick(timer, "splat", t0)
+        for j, blur in enumerate(self._blur):
+            verts = _index_set(m, verts, self.blur_n1[j, verts], self.blur_n2[j, verts])
+            stages[j + 1][verts] = blur[verts] @ stages[j]
+        rows = _index_set(self.num_points, gather[verts].indices)
+        _tick(timer, "blur", t0)
+        return rows
+
+    def slice_rows(self, rows: np.ndarray, stages: list, timer: dict | None = None) -> np.ndarray:
+        """The filter output at the sorted `rows`, from up-to-date `stages`."""
+        t0 = time.perf_counter() if timer is not None else 0.0
+        out = self._slice[rows] @ stages[-1]
+        _tick(timer, "slice", t0)
+        return out
+
+    @cached_property
+    def _gather(self) -> scipy.sparse.csr_matrix:
+        """The splat as CSR: row v holds vertex v's points in point order."""
+        return self._splat.tocsr()
 
 
 def lattice_filter_normalized(lattice: PermutohedralLattice, values) -> np.ndarray:

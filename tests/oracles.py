@@ -397,6 +397,24 @@ def meanfield_labels_all_pairs(theta, image, params, iters):
     return np.argmax(q, axis=1).reshape(h, w)
 
 
+def meanfield_every_update(unary, image, params, backend, filters, iters):
+    """Run all `iters` updates by mean_field_step over shared `filters`, from
+    the classifier posterior, without stopping at a fixed point.
+
+    Returns the final state and the first update that returned its input
+    bit for bit (in the update's dtype), or None if none did.
+    """
+    from denseseg.densecrf import init_state, mean_field_step
+
+    state, first = init_state(unary), None
+    for step in range(1, iters + 1):
+        nxt = mean_field_step(state, unary, image, params, backend, filters=filters)
+        if first is None and nxt.q.tobytes() == state.q.astype(nxt.q.dtype).tobytes():
+            first = step
+        state = nxt
+    return state, first
+
+
 def softmax_rows_whole_array(z):
     """Rowwise softmax over the whole array in one pass each: the row max by
     max(axis=-1) and the row sum by sum(axis=-1), on a copy of z."""

@@ -25,11 +25,16 @@ from denseseg.densecrf import (
     BACKENDS,
     DEFAULT_ITERATIONS,
     GridPoint,
+    PairwiseFilters,
     PairwiseParams,
     SearchRanges,
+    labels_from_state,
     run_inference,
 )
+from denseseg.metrics import confusion, mean_iou
 from denseseg.synth import make_instance
+
+from oracles import meanfield_every_update
 
 SCENE = """\
 height = 32
@@ -723,6 +728,40 @@ class TestDeterminismAcrossThreads:
             assert rc == EXIT_OK
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_tune_stdout_with_fixed_point_stops(self, tmp_path, capsys, monkeypatch):
+        """At 10 updates the cases' w1 columns first return their input at
+        different updates, so batched runs stop early. --threads 2 prints
+        the bytes --threads 1 does, and every score is that of running all
+        10 updates."""
+        manifest = write_manifest(tmp_path, sizes=((32, 32), (36, 44)))
+        runs, updates = [], []
+        infer, update = densecrf._infer, densecrf._update
+        monkeypatch.setattr(densecrf, "_infer", lambda *args: runs.append(1) or infer(*args))
+        monkeypatch.setattr(densecrf, "_update",
+                            lambda *args: updates.append(1) or update(*args))
+        outputs = []
+        for threads in (1, 2):
+            runs.clear()
+            updates.clear()
+            rc = run_cli("tune", "--manifest", manifest, "--iters", 10,
+                         "--backend", "lattice", "--w1-values", "0,1,4",
+                         "--sigma-alpha-values", "30,60",
+                         "--sigma-beta-values", "4", "--threads", threads)
+            assert rc == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(updates) < 10 * len(runs)  # each case's w1 batch is one lattice run
+        cases = cli._read_manifest(str(manifest))
+        for stage, w1, sigma_alpha, sigma_beta, score in parse_csv(outputs[0])[1:-1]:
+            params = PairwiseParams(w1=float(w1), sigma_alpha=float(sigma_alpha),
+                                    sigma_beta=float(sigma_beta))
+            scores = []
+            for unary, image, gt in cases:
+                filters = PairwiseFilters(image, params, "lattice")
+                state, _ = meanfield_every_update(unary, image, params, "lattice", filters, 10)
+                scores.append(mean_iou(confusion(labels_from_state(state), gt, unary.labels)))
+            assert score == cli._fmt(sum(scores) / len(scores)), (stage, w1, sigma_alpha)
 
 
 def test_module_entry_point_runs():

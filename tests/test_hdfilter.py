@@ -616,6 +616,36 @@ class TestLatticeFilter:
         out = PermutohedralLattice(feats).filter(np.ones(30))
         assert out.shape == (30,)
 
+    @pytest.mark.parametrize("columns", [1, 21, 63])
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_refilter_repeats_the_whole_filter_bit_for_bit(self, d, columns):
+        """After values change at a few rows, refilter's stages equal those
+        of a whole filter call and slice_rows its output, bit for bit, on
+        the rows it names, and every other output row is unchanged."""
+        rng = np.random.default_rng(170 + d)
+        image = RgbImage(rng.integers(0, 256, (40, 36, 3), dtype=np.uint8))
+        if d == 2:
+            feats = spatial_features(40, 36, 3.0)
+        else:
+            feats = bilateral_features(image, 20.0, 30.0)
+        lat = PermutohedralLattice(feats, lambda mass: 1.7 / mass)
+        values = rng.random((feats.n, columns)).astype(np.float32)
+        stages = []
+        before = lat.filter(values, stages=stages)
+        for changed in ([], [0], [feats.n - 1], sorted(rng.choice(feats.n, 40, replace=False))):
+            values = values.copy()
+            values[changed] = rng.random((len(changed), columns)).astype(np.float32)
+            rows = lat.refilter(values, np.asarray(changed, np.intp), stages)
+            whole = []
+            want = lat.filter(values, stages=whole)
+            assert all(np.array_equal(a, b) for a, b in zip(stages, whole, strict=True))
+            assert np.array_equal(lat.slice_rows(rows, stages), want[rows])
+            kept = np.setdiff1d(np.arange(feats.n), rows)
+            assert np.array_equal(want[kept], before[kept])
+            assert set(changed) <= set(rows.tolist())
+            assert len(rows) < feats.n or len(changed) > 1
+            before = want
+
     def test_row_count_mismatch(self):
         lat = PermutohedralLattice(FeaturePoints(np.zeros((3, 2))))
         with pytest.raises(ShapeError):

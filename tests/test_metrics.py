@@ -79,6 +79,24 @@ class TestConfusion:
         with pytest.raises(ValueError):
             ConfusionMatrix(np.array([[1, -1], [0, 2]]))
 
+    @pytest.mark.parametrize("entry", [2.5, np.nan, np.inf, -np.inf, 1e300, 2.0**63])
+    def test_counts_must_be_whole_numbers_within_int64(self, entry):
+        """No entry is rounded or wrapped by the cast to int64."""
+        with pytest.raises(ValueError, match="ConfusionMatrix.counts must hold whole numbers"):
+            ConfusionMatrix(np.array([[entry, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("counts", [
+        np.array([[3, 1], [0, 2]]),
+        np.array([[3, 1], [0, 2]], np.int32),
+        np.array([[3.0, 1.0], [0.0, 2.0**62]]),
+    ])
+    def test_integer_and_whole_float_counts_stored_unchanged(self, counts):
+        got = ConfusionMatrix(counts).counts
+        assert got.dtype == np.int64
+        assert np.array_equal(got, counts)
+        if counts.dtype == np.int64:
+            assert got is counts
+
 
 class TestMeanIou:
     def test_perfect_three_classes(self):
@@ -183,6 +201,23 @@ class TestTrimap:
         gt[2, 3] = 1
         assert np.array_equal(trimap_mask(lmap(gt), 2**40).mask,
                               trimap_mask(lmap(gt), 9 + 1).mask)
+
+    @pytest.mark.parametrize("entry", [0.5, np.nan, np.inf, 2, -1])
+    def test_mask_must_hold_only_0_and_1(self, entry):
+        """No entry becomes True or False by the cast to bool."""
+        mask = np.array([[entry, 0], [1, 0]], dtype=np.asarray(entry).dtype)
+        with pytest.raises(ValueError, match="TrimapBand.mask must hold only 0 and 1"):
+            TrimapBand(1, mask)
+
+    @pytest.mark.parametrize("mask", [
+        np.eye(2, dtype=bool), np.eye(2, dtype=np.uint8), np.eye(2),
+    ])
+    def test_bool_and_0_1_masks_stored_unchanged(self, mask):
+        got = TrimapBand(1, mask).mask
+        assert got.dtype == bool
+        assert np.array_equal(got, mask)
+        if mask.dtype == bool:
+            assert got is mask
 
     def test_width_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -239,12 +239,11 @@ def _spatial_row_masses(height: int, width: int, sigma_gamma: float) -> np.ndarr
     return np.outer(_row_masses(ys, ys), _row_masses(xs, xs)).reshape(-1)
 
 
-def _filter(structure, values: np.ndarray, timer: dict | None, stages: list | None) -> np.ndarray:
-    """One unit Gaussian kernel's sums: all pairs on FeaturePoints, else the
-    lattice, which refills `stages` when given."""
+def _filter(structure, values: np.ndarray, timer: dict | None) -> np.ndarray:
+    """One unit Gaussian kernel's sums: all pairs on FeaturePoints, else the lattice."""
     if isinstance(structure, FeaturePoints):
         return gaussian_filter_exact(values, structure)
-    return structure.filter(values, timer=timer, stages=stages)
+    return structure.filter(values, timer=timer)
 
 
 def _spatial_structure(cache: dict, h: int, w: int, sigma_gamma: float, backend: str):
@@ -299,13 +298,11 @@ class PairwiseFilters:
         self.spatial = _spatial_structure({} if spatial_cache is None else spatial_cache,
                                           h, w, params.sigma_gamma, backend)
 
-    def filter_bilateral(self, values: np.ndarray, timer: dict | None = None,
-                         stages: list | None = None) -> np.ndarray:
-        return _filter(self.bilateral, values, timer, stages)
+    def filter_bilateral(self, values: np.ndarray, timer: dict | None = None) -> np.ndarray:
+        return _filter(self.bilateral, values, timer)
 
-    def filter_spatial(self, values: np.ndarray, timer: dict | None = None,
-                       stages: list | None = None) -> np.ndarray:
-        return _filter(self.spatial, values, timer, stages)
+    def filter_spatial(self, values: np.ndarray, timer: dict | None = None) -> np.ndarray:
+        return _filter(self.spatial, values, timer)
 
     def require(self, image: RgbImage, params: PairwiseParams, backend: str) -> None:
         built = (self.backend, self._sigmas, self.shape)
@@ -318,8 +315,20 @@ class PairwiseFilters:
             )
 
 
-def _update(q, theta, filters, w1, w12, w2, timer, stages=None, changed=None) -> np.ndarray:
-    """One synchronous update of flat (n, K*labels) beliefs in their dtype.
+def _lattices(filters) -> tuple | None:
+    """The two lattices of lattice PairwiseFilters, else None: the exact
+    backend, and stand-ins that forward filter_bilateral and filter_spatial
+    (the benchmark's traced replay), give whole filter outputs."""
+    if isinstance(filters, PairwiseFilters) and filters.backend == "lattice":
+        return filters.bilateral, filters.spatial
+    return None
+
+
+def _update(q, theta, filters, w1, w12, w2, timer, stages=None, changed=None):
+    """One synchronous update of flat (n, K*labels) beliefs in their dtype,
+    written over q. Returns the number of entries it changed and, while that
+    is at most PARTIAL_MAX_SHARE of them, the sorted rows it changed, else
+    None.
 
     Under Potts gating each label pays for the message mass of all other
     labels: the total minus its own. The total is the same for every label
@@ -328,53 +337,72 @@ def _update(q, theta, filters, w1, w12, w2, timer, stages=None, changed=None) ->
     each kernel's unit self term. Column block k is the belief under w1[k],
     with w12[k] = w1[k] + w2; kernels act per column, so it equals a lone run.
 
+    Row i of the result reads only row i of q and of the two filter outputs,
+    so once q is filtered the update runs over blocks of UPDATE_BLOCK_POINTS
+    rows: mix, compare with q's rows bit for bit, write over them. A lattice
+    splats and blurs q into its vertex values once and each block slices its
+    own rows, so no whole filter output is made; other filters (_lattices)
+    give whole outputs, which the blocks index.
+
     With `stages`, one list per lattice, the lattices keep their vertex
     values (PermutohedralLattice.refilter). Given also the rows `changed`
     where q differs from the input of the update that filled them, only the
     rows whose filtered values or belief can have changed are recomputed;
-    every other row of the result is q's, which that update returned for it.
+    every other row of q already holds what that update wrote there.
     """
-    if changed is None:
-        if stages is None:  # the benchmark's traced replay forwards (values, timer) only
-            z, zs = filters.filter_bilateral(q, timer=timer), filters.filter_spatial(q, timer=timer)
+    n, width = q.shape
+    lattices = _lattices(filters)
+    step = UPDATE_BLOCK_POINTS
+    if changed is not None:
+        rows = _index_set(n, *(lat.refilter(q, changed, st, timer)
+                               for lat, st in zip(lattices, stages)))
+        blocks = [rows[lo:lo + step] for lo in range(0, len(rows), step)]
+    else:
+        blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        if lattices is None:
+            whole = filters.filter_bilateral(q, timer=timer), filters.filter_spatial(q, timer=timer)
         else:
-            z = filters.filter_bilateral(q, timer=timer, stages=stages[0])
-            zs = filters.filter_spatial(q, timer=timer, stages=stages[1])
-        _mix(z, zs, q, theta, w1, w12, w2, timer)
-        return z
-    lattices = (filters.bilateral, filters.spatial)
-    rows = _index_set(len(q), *(lat.refilter(q, changed, st, timer)
-                                for lat, st in zip(lattices, stages)))
-    z, zs = (lat.slice_rows(rows, st, timer) for lat, st in zip(lattices, stages))
-    start = time.perf_counter()
-    out = q.copy()
-    _mix(z, zs, q[rows], theta[rows], w1, w12, w2, None)
-    out[rows] = z
-    _tick(timer, "update", start)
-    return out
+            stages = [lat.splat_blur(q, timer, st)
+                      for lat, st in zip(lattices, stages or (None, None))]
+    bits = f"u{q.itemsize}"
+    limit, count, found = PARTIAL_MAX_SHARE * q.size, 0, []
+    for block in blocks:
+        if lattices is None:
+            z, zs = whole[0][block], whole[1][block]
+        else:
+            z, zs = (lat.slice_rows(block, st, timer) for lat, st in zip(lattices, stages))
+        start = time.perf_counter()
+        old = q[block]
+        _mix(z, zs, old, theta[block], w1, w12, w2)
+        differ = z.view(bits) != old.view(bits)
+        changes = np.count_nonzero(differ)
+        count += changes
+        if changes and found is not None:
+            if count > limit:
+                found = None
+            else:
+                hits = np.flatnonzero(differ) // width
+                found.append(block[hits] if isinstance(block, np.ndarray) else hits + block.start)
+        q[block] = z
+        _tick(timer, "update", start)
+    return count, None if found is None else _index_set(n, *found)
 
 
-def _mix(z, zs, q, theta, w1, w12, w2, timer) -> None:
-    """The update's arithmetic after filtering, in place on the bilateral
-    output z, over blocks of UPDATE_BLOCK_POINTS rows with the same
-    operations in the same order on every element: each row's result
-    depends on that row alone."""
-    start = time.perf_counter()
-    n, labels = theta.shape
-    zb, zr, qb = (a.reshape(n, -1, labels) for a in (z, zs, q))
-    for lo in range(0, n, UPDATE_BLOCK_POINTS):
-        hi = lo + UPDATE_BLOCK_POINTS
-        b, r = zb[lo:hi], zr[lo:hi]
-        b *= w1
-        r *= w2
-        b += r
-        np.multiply(qb[lo:hi], w12, out=r)
-        b -= r
-        b -= theta[lo:hi, None]
-        rows = b.reshape(-1, labels)
-        _exp_minus_row_max(rows)
-        rows /= np.einsum("ij->i", rows)[:, None]
-    _tick(timer, "update", start)
+def _mix(z, zs, q, theta, w1, w12, w2) -> None:
+    """The update's arithmetic after filtering, in place on a block of rows
+    of the bilateral output z, with the same operations in the same order on
+    every element: each row's result depends on that row alone."""
+    labels = theta.shape[1]
+    b, r = (a.reshape(len(a), -1, labels) for a in (z, zs))
+    b *= w1
+    r *= w2
+    b += r
+    np.multiply(q.reshape(b.shape), w12, out=r)
+    b -= r
+    b -= theta[:, None]
+    rows = z.reshape(-1, labels)
+    _exp_minus_row_max(rows)
+    rows /= np.einsum("ij->i", rows)[:, None]
 
 
 def mean_field_step(
@@ -448,6 +476,9 @@ def _infer(unary, image, batch, iters, backend, filters, timer, q=None):
     (_update), bit for bit as a whole update would. The vertex values this
     needs are kept only through updates that such an update may follow.
 
+    Each run holds one belief, which every update writes over row block by
+    row block (_update); an array handed in as q is copied, never written.
+
     The float32 lattice path runs as many weights side by side as
     BATCH_MAX_ELEMENTS allows, one run after another, so a caller consuming
     beliefs as they come holds one run's at a time. The float64 exact
@@ -476,32 +507,25 @@ def _infer(unary, image, batch, iters, backend, filters, timer, q=None):
         part = batch[lo:lo + per_run]
         w1 = np.array([p.w1 for p in part], dtype)[:, None]
         w12 = np.array([p.w1 + p.w2 for p in part], dtype)[:, None]
-        # a start belief per run, freed by its first update; K > 1 blocks
-        # copy it, and the update never writes to its input
+        # one belief per run, which every update writes over: the start
+        # posterior, or a copy of q, whose owner keeps it; K > 1 blocks tile it
         start = time.perf_counter()
-        qk = _posterior(unary, dtype) if q is None else q
-        qk = qk.reshape(n, 1, labels).astype(dtype, copy=False)
-        qk = np.broadcast_to(qk, (n, len(part), labels)).reshape(n, -1)
+        qk = (_posterior(unary, dtype) if q is None else q.astype(dtype)).reshape(n, labels)
+        if len(part) > 1:
+            qk = np.tile(qk, len(part))
         _tick(timer, "init", start)
         stages = changed = None
         for left in reversed(range(iters)):  # updates left after this one
-            new = _update(qk, theta, filters, w1, w12, params.w2, timer, stages, changed)
-            if not left:
-                qk = new
+            count, rows = _update(qk, theta, filters, w1, w12, params.w2, timer, stages, changed)
+            if not left or not count:
                 break
-            start = time.perf_counter()
-            differ = new.view(f"u{new.itemsize}") != qk.view(f"u{new.itemsize}")
-            share = np.count_nonzero(differ) / differ.size
-            qk = new
-            if stages is not None and 0 < share <= PARTIAL_MAX_SHARE:
-                changed = _index_set(n, np.flatnonzero(differ) // qk.shape[1])
+            if stages is not None and rows is not None:
+                changed = rows
             else:
                 changed = None
-                keep = backend == "lattice" and left > 1 and share <= STAGES_MAX_SHARE
+                keep = (_lattices(filters) is not None and left > 1
+                        and count <= STAGES_MAX_SHARE * qk.size)
                 stages = ([], []) if keep else None
-            _tick(timer, "update", start)
-            if not share:
-                break
         yield from np.moveaxis(qk.reshape(h, w, len(part), labels), 2, 0)
 
 

@@ -12,7 +12,9 @@ kernel masses: per point against known exact masses, or one scalar from
 exact masses at a fixed-stride sample of rows (``sampled_mass_gain``).
 
 Lattices are immutable after calibration; filtering allocates per-call
-scratch, so one lattice may filter several value buffers concurrently.
+scratch, so one lattice may filter several value buffers concurrently. Row
+blocks of the slice matrix are made on first use and kept; threads that
+make the same one at once make equal views.
 """
 
 from __future__ import annotations
@@ -304,6 +306,7 @@ class PermutohedralLattice:
             self.gain = np.asarray(calibrate(mass.astype(np.float64)), np.float32)
             gain = alpha * self.gain.astype(np.float64)
             self._slice.data = (bary * gain[..., None]).astype(np.float32).ravel()
+        self._blocks: dict = {}
 
     def _build(self, feats: FeaturePoints) -> tuple[float, np.ndarray]:
         """Splat, blur and uncalibrated slice; returns the slice's alpha and
@@ -384,12 +387,22 @@ class PermutohedralLattice:
         return alpha, bary
 
     def filter(self, values, timer: dict | None = None, stages: list | None = None) -> np.ndarray:
-        """Splat -> blur -> slice; float32 output approximating the exact filter.
-
-        A `stages` list is refilled with the vertex values after the splat
-        and after each blur direction, for `refilter`.
-        """
+        """Splat -> blur -> slice; float32 output approximating the exact
+        filter. `stages` as in `splat_blur`."""
         v, squeezed = _as_value_matrix(values, self.num_points)
+        lat = self.splat_blur(v, timer, stages)[-1]
+        t0 = time.perf_counter() if timer is not None else 0.0
+        out = self._slice @ lat
+        _tick(timer, "slice", t0)
+        return out[:, 0] if squeezed else out
+
+    def splat_blur(self, values, timer: dict | None = None, stages: list | None = None) -> list:
+        """`filter` without the slice: (n, L) values splatted and blurred into
+        the vertex values that `slice_rows` reads. Returns `stages`, refilled
+        with the vertex values after the splat and after each blur direction
+        (for `refilter`), or without it a list of the blurred values alone.
+        """
+        v, _ = _as_value_matrix(values, self.num_points)
         t0 = time.perf_counter() if timer is not None else 0.0
         lat = self._splat @ np.ascontiguousarray(v, dtype=np.float32)
         if stages is not None:
@@ -399,10 +412,8 @@ class PermutohedralLattice:
             lat = blur @ lat
             if stages is not None:
                 stages.append(lat)
-        t0 = _tick(timer, "blur", t0)
-        out = self._slice @ lat
-        _tick(timer, "slice", t0)
-        return out[:, 0] if squeezed else out
+        _tick(timer, "blur", t0)
+        return [lat] if stages is None else stages
 
     def refilter(self, values: np.ndarray, points: np.ndarray, stages: list,
                  timer: dict | None = None) -> np.ndarray:
@@ -427,12 +438,33 @@ class PermutohedralLattice:
         _tick(timer, "blur", t0)
         return rows
 
-    def slice_rows(self, rows: np.ndarray, stages: list, timer: dict | None = None) -> np.ndarray:
-        """The filter output at the sorted `rows`, from up-to-date `stages`."""
+    def slice_rows(self, rows, stages: list, timer: dict | None = None) -> np.ndarray:
+        """The filter output at `rows`, sorted ids or a slice, from up-to-date
+        `stages`. A slice reads a row block of the slice matrix that shares
+        its arrays, made once per block (`_row_block`)."""
         t0 = time.perf_counter() if timer is not None else 0.0
-        out = self._slice[rows] @ stages[-1]
+        if isinstance(rows, slice):
+            part = self._row_block(rows.start, rows.stop)
+        else:
+            part = self._slice[rows]
+        out = part @ stages[-1]
         _tick(timer, "slice", t0)
         return out
+
+    def _row_block(self, lo: int, hi: int) -> scipy.sparse.csr_matrix:
+        """Rows lo..hi-1 of the slice matrix, kept for later calls; every row
+        holds d+1 entries, so the block's row starts are a prefix of the
+        whole matrix's and its data and indices are views."""
+        if (lo, hi) not in self._blocks:
+            block, dp1 = self._slice, self.dim + 1
+            if (lo, hi) != (0, self.num_points):
+                # set after construction, which would copy them
+                block = scipy.sparse.csr_matrix((hi - lo, self.num_vertices + 1), dtype=np.float32)
+                block.data = self._slice.data[lo * dp1:hi * dp1]
+                block.indices = self._slice.indices[lo * dp1:hi * dp1]
+                block.indptr = self._slice.indptr[:hi - lo + 1]
+            self._blocks[lo, hi] = block
+        return self._blocks[lo, hi]
 
     @cached_property
     def _gather(self) -> scipy.sparse.csr_matrix:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .core import LabelMap, ShapeError, _store
 
@@ -126,6 +125,8 @@ def trimap_mask(gt: LabelMap, width: int) -> TrimapBand:
     dilation: a width-2 band around a straight edge is 4 pixels across.
     Past max(h, w) steps the band covers every pixel, so the steps stop there.
     """
+    from scipy import ndimage  # on first use: loading it adds about 0.1 s to every start-up
+
     boundary = _boundary_4conn(gt.labels)
     if width > 1 and boundary.any():
         band = ndimage.binary_dilation(

@@ -16,7 +16,6 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy import ndimage
 
 from .core import FormatError, LabelMap, RgbImage
 from .densecrf import UnaryField, _softmax_rows, unary_from_probs
@@ -176,6 +175,8 @@ def render_scene(spec: SceneSpec) -> tuple:
 def box_blur(plane: np.ndarray, radius: int) -> np.ndarray:
     """Mean over the (2r+1)^2 window clipped to the image bounds, of an
     (h, w) plane or of each plane of an (h, w, planes) stack."""
+    from scipy import ndimage  # on first use: loading it adds about 0.1 s to every start-up
+
     if radius < 0:
         raise ValueError(f"blur radius must be >= 0, got {radius}")
     plane = np.asarray(plane, dtype=np.float64)

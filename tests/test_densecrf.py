@@ -12,6 +12,7 @@ import pytest
 from scipy import ndimage
 
 from denseseg import cli, densecrf, hdfilter
+from denseseg.atrous import upsample_bilinear
 from denseseg.cli import bench_scene
 from denseseg.core import (FeatureMap, LabelMap, RgbImage, ShapeError, read_tensor, write_pgm,
                            write_ppm, write_tensor)
@@ -1203,15 +1204,9 @@ class TestBatchedWeights:
         batch = [PairwiseParams(w1=w1, sigma_alpha=20.0, sigma_beta=10.0)
                  for w1 in self.WEIGHTS]
         filters = PairwiseFilters(image, batch[0], backend)
-        columns = []
-        bilateral = filters.filter_bilateral
-
-        def counting(values, timer=None, **kwargs):
-            columns.append(values.shape[1])
-            return bilateral(values, timer=timer, **kwargs)
-
-        filters.filter_bilateral = counting
-        got = _infer(unary, image, batch, 3, backend, filters, None)
+        calls = counted_updates(monkeypatch)
+        got = list(_infer(unary, image, batch, 3, backend, filters, None))
+        columns = [width for width, _, _ in calls]
         for params, q in zip(batch, got):
             want, _ = run_inference(unary, image, params, iters=3, backend=backend)
             assert np.array_equal(np.asarray(q, np.float64), want.q), params.w1
@@ -1271,7 +1266,8 @@ class TestBlockedUpdate:
             for tied in (False, True):
                 q, theta, zb, zs = update_inputs(rng, n, k, labels, dtype, tied)
                 want = meanfield_update_whole_array(q, theta, zb.copy(), zs.copy(), w1, w12, 3.0)
-                got = densecrf._update(q, theta, _FixedFilters(zb, zs), w1, w12, 3.0, None)
+                got = q.copy()
+                densecrf._update(got, theta, _FixedFilters(zb, zs), w1, w12, 3.0, None)
                 assert got.dtype == dtype
                 assert np.array_equal(got, want), (n, tied)
 
@@ -1328,7 +1324,8 @@ class TestBlockedUpdate:
         for n in (block - 1, block + 1, 2 * block + 3):
             q, theta, zb, zs = update_inputs(rng, n, 1, 21, np.float32, n == block + 1)
             want = meanfield_update_whole_array(q, theta, zb.copy(), zs.copy(), w1, w12, 3.0)
-            got = densecrf._update(q, theta, _FixedFilters(zb, zs), w1, w12, 3.0, None)
+            got = q.copy()
+            densecrf._update(got, theta, _FixedFilters(zb, zs), w1, w12, 3.0, None)
             assert np.array_equal(got, want)
             z = rng.normal(scale=20.0, size=(n, 21))
             assert np.array_equal(densecrf._softmax_rows(z.copy()), softmax_rows_whole_array(z))
@@ -1439,3 +1436,109 @@ class TestFixedPointStop:
         calls.clear()
         list(_infer(unary, image, batch, 3, "lattice", filters, None))
         assert not any(keeps for _, _, keeps in calls)  # no later update could use them
+
+
+def bench_case(height, width, seed):
+    """A bench scene at factor 8: its costs upsampled from the coarse grid,
+    as `refine --factor 8` makes them, in float64."""
+    coarse, image, gt = make_instance(bench_scene(height, width, 21, seed), num_labels=21, factor=8)
+    fine = upsample_bilinear(FeatureMap(coarse.theta.astype(np.float32)), 8)
+    return UnaryField(fine.data.astype(np.float64)), image, gt
+
+
+def bench_48x64():
+    return bench_case(48, 64, 1)
+
+
+def lattice_kept_bytes(lattice, width):
+    """Bytes a lattice holds through a run with partial updates: its splat,
+    slice and blur matrices, vertex keys and gain, its CSR splat copy, and
+    float32 vertex values `width` columns wide after the splat and after
+    each blur direction. Arrays that share memory count once."""
+    arrays = [a for m in (lattice._splat, lattice._slice, *lattice._blur, lattice._gather)
+              for a in (m.data, m.indices, m.indptr)]
+    arrays += [lattice.vertex_keys, np.asarray(lattice.gain)]
+    by_address = {a.__array_interface__["data"][0]: a.nbytes for a in arrays}
+    return sum(by_address.values()) + (lattice.dim + 2) * (lattice.num_vertices + 1) * width * 4
+
+
+class TestInPlaceUpdate:
+    """Every update writes its rows over the run's one belief, block by
+    block, and no array handed in is ever written."""
+
+    BLOCK = 37  # divides no image width below, so blocks end mid-row
+
+    @pytest.mark.parametrize("backend,make,per_run", [
+        *(("lattice", make, per_run) for make in (repeating_case, nonrepeating_case, bench_48x64)
+          for per_run in (1, 3)),
+        ("exact", repeating_case, 1), ("exact", nonrepeating_case, 1)])
+    def test_small_blocks_equal_whole_updates(self, monkeypatch, backend, make, per_run):
+        """With blocks of 37 points, each w1 of a run, alone or batched (the
+        exact backend runs one w1 at a time), gets the bytes of running
+        every update over the whole belief in one block; the bench scene's
+        lattice run also updates partially."""
+        unary, image, _ = make()
+        n = unary.height * unary.width
+        assert n <= densecrf.UPDATE_BLOCK_POINTS  # the reference's one block
+        batch = [PairwiseParams(w1=w1) for w1 in (4.0, 3.0, 5.0)]
+        filters = PairwiseFilters(image, batch[0], backend)
+        lone = [meanfield_every_update(unary, image, p, backend, filters, 10)[0] for p in batch]
+        monkeypatch.setattr(densecrf, "UPDATE_BLOCK_POINTS", self.BLOCK)
+        monkeypatch.setattr(densecrf, "BATCH_MAX_ELEMENTS", per_run * n * unary.labels)
+        calls = counted_updates(monkeypatch)
+        got = list(_infer(unary, image, batch, 10, backend, filters, None))
+        for state, q in zip(lone, got, strict=True):
+            assert q.dtype == state.q.dtype and q.tobytes() == state.q.tobytes()
+        if make is bench_48x64:
+            assert any(partial for _, partial, _ in calls)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_caller_beliefs_are_never_written(self, monkeypatch, backend):
+        """mean_field_step and _infer(q=) leave the caller's belief's bytes
+        as they were, also when it already has the run's dtype, and return
+        what steps from it give."""
+        monkeypatch.setattr(densecrf, "UPDATE_BLOCK_POINTS", self.BLOCK)
+        unary, image, _ = nonrepeating_case()
+        params = PairwiseParams()
+        filters = PairwiseFilters(image, params, backend)
+        dtype = np.float64 if backend == "exact" else np.float32
+        state = MeanFieldState(init_state(unary).q.astype(dtype))
+        before = state.q.tobytes()
+        step = mean_field_step(state, unary, image, params, backend, filters=filters)
+        assert state.q.tobytes() == before
+        assert not np.shares_memory(step.q, state.q)
+        want = state
+        for _ in range(3):
+            want = mean_field_step(want, unary, image, params, backend, filters=filters)
+        batch = [params] if backend == "exact" else [params, PairwiseParams(w1=1.0)]
+        got = next(_infer(unary, image, batch, 3, backend, filters, None, q=state.q))
+        assert state.q.tobytes() == before
+        assert got.tobytes() == want.q.tobytes()
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_run_traces_one_belief(self, monkeypatch, seed):
+        """A 160x120x21 lattice run of 10 updates, partial ones among them,
+        traces at most its float32 costs, one belief, each lattice's kept
+        arrays and vertex values (lattice_kept_bytes) and eight blocks of
+        update scratch: the rows of both filter outputs, of a partial
+        update's belief and costs, and their comparison. At 1,024 points a
+        block is 1/19 of the belief, so one whole-belief temporary, such as
+        a whole filter output or a copy of the belief, exceeds the bound."""
+        block = 1024
+        monkeypatch.setattr(densecrf, "UPDATE_BLOCK_POINTS", block)
+        unary, image, _ = bench_case(160, 120, seed)
+        calls = counted_updates(monkeypatch)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run_inference(unary, image, iters=10, backend="lattice")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert any(partial for _, partial, _ in calls)
+        filters = PairwiseFilters(image, PairwiseParams(), "lattice")
+        belief = unary.theta.size * 4
+        kept = sum(lattice_kept_bytes(lat, unary.labels)
+                   for lat in (filters.bilateral, filters.spatial))
+        assert peak <= 2 * belief + kept + 8 * block * unary.labels * 4

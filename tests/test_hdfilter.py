@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -645,6 +647,38 @@ class TestLatticeFilter:
             assert set(changed) <= set(rows.tolist())
             assert len(rows) < feats.n or len(changed) > 1
             before = want
+
+    def test_row_blocks_equal_the_whole_filter_under_threads(self):
+        """Slicing row blocks of splat_blur's vertex values gives the whole
+        filter's rows bit for bit. The blocks are made on first use and kept
+        on the lattice, which threads share (tune's spatial kernel): eight
+        threads slicing every block in their own orders all get those bytes."""
+        rng = np.random.default_rng(175)
+        feats = spatial_features(40, 36, 3.0)
+        lat = PermutohedralLattice(feats, lambda mass: 1.7 / mass)
+        values = rng.random((feats.n, 21)).astype(np.float32)
+        vertices, want = lat.splat_blur(values), lat.filter(values)
+        blocks = [slice(lo, min(lo + 37, feats.n)) for lo in range(0, feats.n, 37)]
+        blocks.append(slice(0, feats.n))
+        wrong = []
+
+        def slice_all(seed):
+            for k in np.random.default_rng(seed).permutation(len(blocks)):
+                if not np.array_equal(lat.slice_rows(blocks[k], vertices), want[blocks[k]]):
+                    wrong.append(blocks[k])
+
+        threads = [threading.Thread(target=slice_all, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
 
     def test_row_count_mismatch(self):
         lat = PermutohedralLattice(FeaturePoints(np.zeros((3, 2))))

@@ -22,9 +22,11 @@ def fresh_stdout(code: str) -> str:
 def test_import_does_not_load_scipy_spatial():
     """scipy.spatial costs about 0.1 s and 10 MB per fresh interpreter, and
     no module in the package imports it: kernel blocks add squared
-    coordinate differences themselves."""
-    code = "import sys, denseseg, denseseg.cli; print('scipy.spatial' in sys.modules)"
-    assert fresh_stdout(code) == "False"
+    coordinate differences themselves. scipy.ndimage costs about 0.1 s, and
+    only the trimap band and the scene blur load it, on first use."""
+    code = ("import sys, denseseg, denseseg.cli; "
+            "print([m in sys.modules for m in ('scipy.spatial', 'scipy.ndimage')])")
+    assert fresh_stdout(code) == "[False, False]"
 
 
 def test_core_import_loads_no_scipy():

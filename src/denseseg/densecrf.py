@@ -326,9 +326,10 @@ def _lattices(filters) -> tuple | None:
 
 def _update(q, theta, filters, w1, w12, w2, timer, stages=None, changed=None):
     """One synchronous update of flat (n, K*labels) beliefs in their dtype,
-    written over q. Returns the number of entries it changed and, while that
-    is at most PARTIAL_MAX_SHARE of them, the sorted rows it changed, else
-    None.
+    written over q; each block's rows of the (n, labels) costs theta are
+    cast to that dtype as they are read. Returns the number of entries it
+    changed and, while that is at most PARTIAL_MAX_SHARE of them, the sorted
+    rows it changed, else None.
 
     Under Potts gating each label pays for the message mass of all other
     labels: the total minus its own. The total is the same for every label
@@ -373,7 +374,7 @@ def _update(q, theta, filters, w1, w12, w2, timer, stages=None, changed=None):
             z, zs = (lat.slice_rows(block, st, timer) for lat, st in zip(lattices, stages))
         start = time.perf_counter()
         old = q[block]
-        _mix(z, zs, old, theta[block], w1, w12, w2)
+        _mix(z, zs, old, theta[block].astype(q.dtype, copy=False), w1, w12, w2)
         differ = z.view(bits) != old.view(bits)
         changes = np.count_nonzero(differ)
         count += changes
@@ -476,8 +477,9 @@ def _infer(unary, image, batch, iters, backend, filters, timer, q=None):
     (_update), bit for bit as a whole update would. The vertex values this
     needs are kept only through updates that such an update may follow.
 
-    Each run holds one belief, which every update writes over row block by
-    row block (_update); an array handed in as q is copied, never written.
+    Each run holds the costs as the caller gave them and one belief, which
+    every update writes over row block by row block (_update); an array
+    handed in as q is copied, never written.
 
     The float32 lattice path runs as many weights side by side as
     BATCH_MAX_ELEMENTS allows, one run after another, so a caller consuming
@@ -502,7 +504,7 @@ def _infer(unary, image, batch, iters, backend, filters, timer, q=None):
         filters.require(image, params, backend)
     dtype = np.float64 if backend == "exact" else np.float32
     per_run = 1 if backend == "exact" else max(1, BATCH_MAX_ELEMENTS // (n * labels))
-    theta = unary.theta.reshape(n, labels).astype(dtype, copy=False)
+    theta = unary.theta.reshape(n, labels)
     for lo in range(0, len(batch), per_run):
         part = batch[lo:lo + per_run]
         w1 = np.array([p.w1 for p in part], dtype)[:, None]

@@ -12,9 +12,7 @@ kernel masses: per point against known exact masses, or one scalar from
 exact masses at a fixed-stride sample of rows (``sampled_mass_gain``).
 
 Lattices are immutable after calibration; filtering allocates per-call
-scratch, so one lattice may filter several value buffers concurrently. Row
-blocks of the slice matrix are made on first use and kept; threads that
-make the same one at once make equal views.
+scratch, so one lattice may filter several value buffers concurrently.
 """
 
 from __future__ import annotations
@@ -306,7 +304,6 @@ class PermutohedralLattice:
             self.gain = np.asarray(calibrate(mass.astype(np.float64)), np.float32)
             gain = alpha * self.gain.astype(np.float64)
             self._slice.data = (bary * gain[..., None]).astype(np.float32).ravel()
-        self._blocks: dict = {}
 
     def _build(self, feats: FeaturePoints) -> tuple[float, np.ndarray]:
         """Splat, blur and uncalibrated slice; returns the slice's alpha and
@@ -386,14 +383,10 @@ class PermutohedralLattice:
             (slice_weights.ravel(), self._splat.indices, self._splat.indptr), shape=(n, m))
         return alpha, bary
 
-    def filter(self, values, timer: dict | None = None, stages: list | None = None) -> np.ndarray:
-        """Splat -> blur -> slice; float32 output approximating the exact
-        filter. `stages` as in `splat_blur`."""
+    def filter(self, values, timer: dict | None = None) -> np.ndarray:
+        """Splat -> blur -> slice; float32 output approximating the exact filter."""
         v, squeezed = _as_value_matrix(values, self.num_points)
-        lat = self.splat_blur(v, timer, stages)[-1]
-        t0 = time.perf_counter() if timer is not None else 0.0
-        out = self._slice @ lat
-        _tick(timer, "slice", t0)
+        out = self.slice_rows(slice(0, self.num_points), self.splat_blur(v, timer), timer)
         return out[:, 0] if squeezed else out
 
     def splat_blur(self, values, timer: dict | None = None, stages: list | None = None) -> list:
@@ -417,14 +410,14 @@ class PermutohedralLattice:
 
     def refilter(self, values: np.ndarray, points: np.ndarray, stages: list,
                  timer: dict | None = None) -> np.ndarray:
-        """Bring `stages`, filled by `filter` from values that differ from
+        """Bring `stages`, filled by `splat_blur` from values that differ from
         (n, L) `values` only at the rows `points`, up to `values`; return the
         sorted rows whose filter output can have changed.
 
         Only the vertices whose inputs changed are recomputed, each by its
-        own row of the products `filter` runs: a vertex sums its points in
-        point order and a blur row reads fixed neighbours either way, so the
-        stages hold the bits a whole `filter` call would.
+        own row of the products `splat_blur` runs: a vertex sums its points
+        in point order and a blur row reads fixed neighbours either way, so
+        the stages hold the bits a whole `splat_blur` call would.
         """
         t0 = time.perf_counter() if timer is not None else 0.0
         gather, m = self._gather, self.num_vertices + 1
@@ -440,31 +433,26 @@ class PermutohedralLattice:
 
     def slice_rows(self, rows, stages: list, timer: dict | None = None) -> np.ndarray:
         """The filter output at `rows`, sorted ids or a slice, from up-to-date
-        `stages`. A slice reads a row block of the slice matrix that shares
-        its arrays, made once per block (`_row_block`)."""
+        `stages`. A slice reads its row block of the slice matrix as a view
+        made for this call: every row holds d+1 entries, so the block's data
+        and indices are slices of the whole matrix's and its row starts a
+        prefix of its indptr."""
         t0 = time.perf_counter() if timer is not None else 0.0
-        if isinstance(rows, slice):
-            part = self._row_block(rows.start, rows.stop)
-        else:
+        if not isinstance(rows, slice):
             part = self._slice[rows]
+        elif rows == slice(0, self.num_points):
+            part = self._slice
+        else:
+            dp1 = self.dim + 1
+            # set after construction, which would copy them
+            part = scipy.sparse.csr_matrix((rows.stop - rows.start, self.num_vertices + 1),
+                                           dtype=np.float32)
+            part.data = self._slice.data[rows.start * dp1:rows.stop * dp1]
+            part.indices = self._slice.indices[rows.start * dp1:rows.stop * dp1]
+            part.indptr = self._slice.indptr[:part.shape[0] + 1]
         out = part @ stages[-1]
         _tick(timer, "slice", t0)
         return out
-
-    def _row_block(self, lo: int, hi: int) -> scipy.sparse.csr_matrix:
-        """Rows lo..hi-1 of the slice matrix, kept for later calls; every row
-        holds d+1 entries, so the block's row starts are a prefix of the
-        whole matrix's and its data and indices are views."""
-        if (lo, hi) not in self._blocks:
-            block, dp1 = self._slice, self.dim + 1
-            if (lo, hi) != (0, self.num_points):
-                # set after construction, which would copy them
-                block = scipy.sparse.csr_matrix((hi - lo, self.num_vertices + 1), dtype=np.float32)
-                block.data = self._slice.data[lo * dp1:hi * dp1]
-                block.indices = self._slice.indices[lo * dp1:hi * dp1]
-                block.indptr = self._slice.indptr[:hi - lo + 1]
-            self._blocks[lo, hi] = block
-        return self._blocks[lo, hi]
 
     @cached_property
     def _gather(self) -> scipy.sparse.csr_matrix:

@@ -4,6 +4,7 @@ Each test prints one ``criterion NN PASS/FAIL`` line with the measured
 margin so a plain pytest -s run doubles as the acceptance report.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -13,11 +14,13 @@ from denseseg.atrous import (
     atrous_conv_2d_holes,
     atrous_conv_2d_subsampled,
     effective_kernel_size,
+    upsample_bilinear,
 )
 from denseseg.cli import bench_scene, main
 from denseseg.core import FeatureMap, LabelMap, RgbImage, write_pgm, write_ppm, write_tensor
 from denseseg.densecrf import (
     PairwiseParams,
+    UnaryField,
     init_state,
     mean_field_step,
     run_inference,
@@ -29,7 +32,14 @@ from denseseg.hdfilter import (
     gaussian_filter_exact,
     lattice_filter_normalized,
 )
-from denseseg.metrics import confusion, mean_iou, trimap_mask, trimap_miou
+from denseseg.metrics import (
+    ConfusionMatrix,
+    confusion,
+    mean_iou,
+    per_class_iou,
+    trimap_mask,
+    trimap_miou,
+)
 from denseseg.synth import Disk, Rect, SceneSpec, make_instance
 from oracles import (
     confusion_bruteforce,
@@ -378,3 +388,41 @@ def test_criterion_12_thread_count_never_changes_output(tmp_path, capsys):
            "synth/refine file bytes, eval/tune stdout, bench stage structure all "
            "identical for --threads 1 vs 8"
            + (f"; mismatches {mismatched}" if mismatched else ""))
+
+
+def paper_regime_case(seed: int) -> tuple:
+    """A 192x256 bench scene whose coarse unaries carry no logit noise,
+    upsampled from factor 8 as `refine --factor 8` does: the paper's regime,
+    where the scores are right inside objects and blurred across their
+    boundaries."""
+    spec = dataclasses.replace(bench_scene(192, 256, 21, seed), noise_sigma=0.0)
+    coarse, image, gt = make_instance(spec, num_labels=21, factor=8)
+    fine = upsample_bilinear(FeatureMap(coarse.theta.astype(np.float32)), 8)
+    return UnaryField(fine.data), image, gt
+
+
+def pooled_miou(counts: list) -> float:
+    """VOC's mIOU: confusion counts pooled over the images, IOU averaged
+    over the classes present in the truth."""
+    total = sum(counts)
+    return float(per_class_iou(ConfusionMatrix(total))[total.sum(axis=1) > 0].mean())
+
+
+def test_criterion_13_crf_gain_is_largest_at_boundaries():
+    bands = (None, 1, 2, 4, 8, 16)  # None: every pixel
+    counts = {band: ([], []) for band in bands}
+    for seed in range(1601, 1605):
+        unary, image, gt = paper_regime_case(seed)
+        raw = LabelMap(np.argmin(unary.theta, axis=2).astype(np.uint8))
+        _, refined = run_inference(unary, image, backend="lattice")
+        for band in bands:
+            mask = None if band is None else trimap_mask(gt, band).mask
+            for pooled, labels in zip(counts[band], (raw, refined)):
+                pooled.append(confusion(labels, gt, 21, mask).counts)
+    scores = {band: (pooled_miou(r), pooled_miou(c)) for band, (r, c) in counts.items()}
+    gain = {band: c - r for band, (r, c) in scores.items()}
+    ok = all(g > 0 for g in gain.values()) and gain[1] > gain[None]
+    detail = ", ".join(f"{'all' if band is None else f'band {band}'} {r:.3f} -> {c:.3f}"
+                       for band, (r, c) in scores.items())
+    report(13, ok, f"4 noise-free factor-8 192x256 scenes, pooled mIOU raw -> CRF: {detail} "
+                   f"(CRF must gain everywhere, more in band 1 than overall)")

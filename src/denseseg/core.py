@@ -8,8 +8,11 @@ nothing in this package mutates a container's array in place.
 
 from __future__ import annotations
 
+import builtins
+import math
 import struct
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,6 +62,46 @@ def _store(obj, field: str, axes: tuple, dtype=None, finite: bool = False) -> np
     arr = _checked(getattr(obj, field), f"{type(obj).__name__}.{field}", axes, dtype, finite)
     object.__setattr__(obj, field, arr)
     return arr
+
+
+def _number(name: str, value, cast, low, high=math.inf):
+    """`value` through `cast` (int() truncates fractions), finite and in
+    [low, high], else a ValueError naming the field. A float of any width
+    is tested as a Python float: compared with float max, a NumPy float32
+    would cast the max to float32, and a long double could pass it."""
+    if isinstance(value, (int, np.integer)):
+        finite = cast is int or abs(value) <= sys.float_info.max  # float() of more raises
+    else:
+        finite = math.isfinite(value)
+    number = cast(value) if finite else math.nan
+    if not low <= number <= high:
+        raise ValueError(f"{name.replace('_', ' ')} must be in [{low!r}, {high!r}], got {value}")
+    return number
+
+
+def _in(low, high=math.inf, **kwargs):
+    """A numeric field, converted by its annotated type (a colour's three
+    values by int()) and checked by `_number` against [low, high]."""
+    return field(metadata={"range": (low, high)}, **kwargs)
+
+
+def _convert(f, value):
+    """`value` for the `_in` field `f`, by its type and range; a type given
+    as its name, under postponed annotations, is looked up by it."""
+    cast = getattr(builtins, f.type) if isinstance(f.type, str) else f.type
+    if cast is not tuple:
+        return _number(f.name, value, cast, *f.metadata["range"])
+    rgb = tuple(_number(f.name, c, int, *f.metadata["range"]) for c in value)
+    if len(rgb) != 3:
+        raise ValueError(f"{f.name} must be three values, got {len(rgb)}")
+    return rgb
+
+
+def _check_fields(obj) -> None:
+    """Convert and check every `_in` field of a frozen dataclass in place."""
+    for f in fields(obj):
+        if f.metadata:
+            object.__setattr__(obj, f.name, _convert(f, getattr(obj, f.name)))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ one rule at every image size, and is the one that scales to real images.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import LabelMap, RgbImage, ShapeError, _checked, _store
+from .core import LabelMap, RgbImage, ShapeError, _check_fields, _checked, _in, _store
 from .hdfilter import (FeaturePoints, PermutohedralLattice, _index_set, _row_masses, _tick,
                        gaussian_filter_exact, sampled_mass_gain)
 from .metrics import check_label_count, confusion, mean_iou
@@ -45,7 +46,9 @@ UPDATE_BLOCK_POINTS = 8192
 # Largest share of belief entries an update may change for the next one to
 # recompute only the rows that can change, on the lattice backend, and for the
 # next one to keep the lattices' vertex values that this takes. On 504x376
-# images the third update changes 6-11% of the entries and later ones under 1%.
+# bench scenes at factor 8 update 1 changes every entry, update 2 3.4-6.5%,
+# update 3, the first that keeps vertex values, at most 0.08%, and each
+# partial update at most 0.04%.
 PARTIAL_MAX_SHARE = 1 / 64
 STAGES_MAX_SHARE = 1 / 4
 
@@ -53,11 +56,6 @@ STAGES_MAX_SHARE = 1 / 4
 # times kernel mass stays far below float32 max for images up to 2^31 pixels.
 MAX_WEIGHT = 1e6
 
-DEFAULT_WEIGHT_BILATERAL = 4.0
-DEFAULT_WEIGHT_SPATIAL = 3.0
-DEFAULT_SIGMA_POSITION = 60.0
-DEFAULT_SIGMA_COLOR = 5.0
-DEFAULT_SIGMA_SPATIAL = 3.0
 DEFAULT_ITERATIONS = 10
 
 
@@ -73,22 +71,14 @@ class PairwiseParams:
     spatial one.  Color distances are taken on raw 0..255 channel values.
     """
 
-    w1: float = DEFAULT_WEIGHT_BILATERAL
-    sigma_alpha: float = DEFAULT_SIGMA_POSITION
-    sigma_beta: float = DEFAULT_SIGMA_COLOR
-    w2: float = DEFAULT_WEIGHT_SPATIAL
-    sigma_gamma: float = DEFAULT_SIGMA_SPATIAL
+    w1: float = _in(0, MAX_WEIGHT, default=4.0)
+    sigma_alpha: float = _in(math.ulp(0.0), default=60.0)  # any positive scale
+    sigma_beta: float = _in(math.ulp(0.0), default=5.0)
+    w2: float = _in(0, MAX_WEIGHT, default=3.0)
+    sigma_gamma: float = _in(math.ulp(0.0), default=3.0)
 
     def __post_init__(self) -> None:
-        for name in ("w1", "sigma_alpha", "sigma_beta", "w2", "sigma_gamma"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if name in ("w1", "w2") and not 0 <= value <= MAX_WEIGHT:
-                raise ValueError(f"{name} must be in [0, {MAX_WEIGHT:g}], got {value}")
-            object.__setattr__(self, name, value)
-        if min(self.sigma_alpha, self.sigma_beta, self.sigma_gamma) <= 0:
-            raise ValueError("kernel scales must be > 0")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -328,8 +318,8 @@ def _update(q, theta, filters, w1, w12, w2, timer, stages=None, changed=None):
     """One synchronous update of flat (n, K*labels) beliefs in their dtype,
     written over q; each block's rows of the (n, labels) costs theta are
     cast to that dtype as they are read. Returns the number of entries it
-    changed and, while that is at most PARTIAL_MAX_SHARE of them, the sorted
-    rows it changed, else None.
+    changed and, with `stages` and while that is at most PARTIAL_MAX_SHARE
+    of them, the sorted rows it changed, else None.
 
     Under Potts gating each label pays for the message mass of all other
     labels: the total minus its own. The total is the same for every label
@@ -354,6 +344,7 @@ def _update(q, theta, filters, w1, w12, w2, timer, stages=None, changed=None):
     n, width = q.shape
     lattices = _lattices(filters)
     step = UPDATE_BLOCK_POINTS
+    found = None if stages is None else []  # read before `stages` is rebound
     if changed is not None:
         rows = _index_set(n, *(lat.refilter(q, changed, st, timer)
                                for lat, st in zip(lattices, stages)))
@@ -366,7 +357,7 @@ def _update(q, theta, filters, w1, w12, w2, timer, stages=None, changed=None):
             stages = [lat.splat_blur(q, timer, st)
                       for lat, st in zip(lattices, stages or (None, None))]
     bits = f"u{q.itemsize}"
-    limit, count, found = PARTIAL_MAX_SHARE * q.size, 0, []
+    limit, count = PARTIAL_MAX_SHARE * q.size, 0
     for block in blocks:
         if lattices is None:
             z, zs = whole[0][block], whole[1][block]
@@ -521,7 +512,7 @@ def _infer(unary, image, batch, iters, backend, filters, timer, q=None):
             count, rows = _update(qk, theta, filters, w1, w12, params.w2, timer, stages, changed)
             if not left or not count:
                 break
-            if stages is not None and rows is not None:
+            if rows is not None:
                 changed = rows
             else:
                 changed = None
@@ -563,19 +554,15 @@ def energy(
     return theta_total + 0.5 * float(mass.sum())
 
 
-COARSE_W1 = (3.0, 4.0, 5.0, 6.0)
-COARSE_SIGMA_ALPHA = (30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0)
-COARSE_SIGMA_BETA = (3.0, 4.0, 5.0, 6.0)
-
-
 @dataclass(frozen=True)
 class SearchRanges:
-    """Coarse grid over the three searched parameters; w2 and sigma_gamma
-    stay fixed at their defaults throughout the search."""
+    """Coarse grid over the three searched parameters, by default the
+    paper's (w1 3:6, sigma_alpha 30:10:100, sigma_beta 3:6); w2 and
+    sigma_gamma stay fixed at their defaults throughout the search."""
 
-    w1: tuple = COARSE_W1
-    sigma_alpha: tuple = COARSE_SIGMA_ALPHA
-    sigma_beta: tuple = COARSE_SIGMA_BETA
+    w1: tuple = (3.0, 4.0, 5.0, 6.0)
+    sigma_alpha: tuple = (30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0)
+    sigma_beta: tuple = (3.0, 4.0, 5.0, 6.0)
 
     def __post_init__(self) -> None:
         for name in ("w1", "sigma_alpha", "sigma_beta"):
@@ -642,7 +629,7 @@ def grid_search(
     if iters > 0:
         for _, image, _ in cases:
             _spatial_structure(spatial_cache, image.height, image.width,
-                               DEFAULT_SIGMA_SPATIAL, backend)
+                               PairwiseParams.sigma_gamma, backend)
     report: list[GridPoint] = []
 
     def unit(batch: list[PairwiseParams], case: tuple) -> list[float]:

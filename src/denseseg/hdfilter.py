@@ -456,8 +456,6 @@ class PermutohedralLattice:
         t0 = time.perf_counter() if timer is not None else 0.0
         if not isinstance(rows, slice):
             part = self._slice[rows]
-        elif rows == slice(0, self.num_points):
-            part = self._slice
         else:
             from scipy import sparse
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMap, ShapeError, _store
+from .core import LabelMap, ShapeError, _check_fields, _in, _store
 
 IGNORE_LABEL = 255
 
@@ -49,12 +49,11 @@ class ConfusionMatrix:
 class TrimapBand:
     """Boolean mask of pixels near a ground-truth label boundary."""
 
-    width: int
+    width: int = _in(1)
     mask: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"band width must be >= 1, got {self.width}")
+        _check_fields(self)
         _store(self, "mask", ("height", "width"), bool)
 
 

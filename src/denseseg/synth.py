@@ -12,12 +12,11 @@ field per shape, in shape order), the second by the logit noise.
 """
 
 import math
-import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .core import FormatError, LabelMap, RgbImage
+from .core import FormatError, LabelMap, RgbImage, _check_fields, _convert, _in, _number
 from .densecrf import UnaryField, _softmax_rows, unary_from_probs
 from .metrics import IGNORE_LABEL, check_label_count
 
@@ -25,39 +24,6 @@ from .metrics import IGNORE_LABEL, check_label_count
 # below float max, so neither the jittered colours nor the softmax of the
 # noisy logits can overflow (past about 1e3 either is pure noise anyway).
 MAX_NOISE = 1e300
-
-
-def _number(name: str, value, cast, low, high=math.inf):
-    """`value` through `cast` (int() truncates fractions), finite and in
-    [low, high], else a ValueError naming the field."""
-    finite = -math.inf < value < math.inf and (cast is int or abs(value) <= sys.float_info.max)
-    number = cast(value) if finite else math.nan
-    if not low <= number <= high:
-        raise ValueError(f"{name.replace('_', ' ')} must be in [{low!r}, {high!r}], got {value}")
-    return number
-
-
-def _in(low, high=math.inf, **kwargs):
-    """A numeric field, converted by its annotated type (a colour's three
-    values by int()) and checked by `_number` against [low, high]."""
-    return field(metadata={"range": (low, high)}, **kwargs)
-
-
-def _convert(f, value):
-    """`value` for the `_in` field `f`, by its type and range."""
-    if f.type is not tuple:
-        return _number(f.name, value, f.type, *f.metadata["range"])
-    rgb = tuple(_number(f.name, c, int, *f.metadata["range"]) for c in value)
-    if len(rgb) != 3:
-        raise ValueError(f"{f.name} must be three values, got {len(rgb)}")
-    return rgb
-
-
-def _check_fields(obj) -> None:
-    """Convert and check every `_in` field of a frozen dataclass in place."""
-    for f in fields(obj):
-        if f.metadata:
-            object.__setattr__(obj, f.name, _convert(f, getattr(obj, f.name)))
 
 
 @dataclass(frozen=True)

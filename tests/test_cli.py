@@ -206,7 +206,7 @@ class TestRefine:
                      "--backend", backend, "--w1", weight, "--w2", weight)
         assert rc == expected
         err = capsys.readouterr().err
-        assert ("w1 must be in [0, 1e+06]" in err) == (expected == EXIT_VALIDATION)
+        assert ("w1 must be in [0, 1000000.0]" in err) == (expected == EXIT_VALIDATION)
         assert "Traceback" not in err
 
     def test_ignore_label_never_written(self, tmp_path, capsys, monkeypatch):
@@ -406,8 +406,8 @@ class TestTune:
         monkeypatch.setattr(cli, "grid_search", fake_search)
         assert run_cli("tune", "--manifest", manifest, "--sigma-beta-values", "2,7") == EXIT_OK
         assert seen == [SearchRanges(sigma_beta=(2.0, 7.0))]
-        assert seen[0].w1 == densecrf.COARSE_W1
-        assert seen[0].sigma_alpha == densecrf.COARSE_SIGMA_ALPHA
+        assert seen[0].w1 == SearchRanges().w1
+        assert seen[0].sigma_alpha == SearchRanges().sigma_alpha
 
 
 class TestSynth:

@@ -1,13 +1,17 @@
 """One rule for every array container: each converts its array, requires one
 extent of at least 1 per axis, refuses non-finite entries where it needs
 finite ones, and stores the array C-contiguous; unary_from_probs checks its
-probabilities by the same rule."""
+probabilities by the same rule. One rule for every numeric field declared
+with `core._in`: it converts the value by the field's type and refuses
+anything not finite or outside the field's range."""
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
+import math
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +19,10 @@ import pytest
 import denseseg
 from denseseg.atrous import ConvKernel
 from denseseg.core import FeatureMap, LabelMap, RgbImage, ShapeError
-from denseseg.densecrf import MeanFieldState, UnaryField, unary_from_probs
+from denseseg.densecrf import MeanFieldState, PairwiseParams, UnaryField, unary_from_probs
 from denseseg.hdfilter import FeaturePoints
 from denseseg.metrics import ConfusionMatrix, TrimapBand
+from denseseg.synth import Disk, Rect, SceneSpec
 
 # (name its messages carry, constructor, field holding the stored array, a valid input)
 TARGETS = [
@@ -89,3 +94,44 @@ def test_every_array_dataclass_refuses_empty_arrays():
                 with pytest.raises(ShapeError, match=cls.__name__):
                     cls(**{f.name: empty if f.name in arrays else 1 for f in fields})
     assert found == ARRAY_CONTAINERS
+
+
+# a valid, whole-numbered value for every numeric field of each class
+FIELD_OWNERS = {
+    Rect: dict(label=1, top=0, left=0, height=2, width=2, color=(200, 60, 60), jitter=1),
+    Disk: dict(label=1, row=3, col=3, radius=2, color=(200, 60, 60), jitter=1),
+    SceneSpec: dict(height=8, width=8, background=(30, 30, 30), blur=1, noise_sigma=1, seed=3),
+    PairwiseParams: dict(w1=4, sigma_alpha=60, sigma_beta=5, w2=3, sigma_gamma=3),
+    TrimapBand: dict(width=1, mask=np.eye(4, 5, dtype=bool)),
+}
+RANGED_FIELDS = [(cls, f) for cls in FIELD_OWNERS for f in dataclasses.fields(cls) if f.metadata]
+
+
+@pytest.mark.parametrize("cls,f", RANGED_FIELDS,
+                         ids=[f"{cls.__name__}.{f.name}" for cls, f in RANGED_FIELDS])
+def test_every_ranged_field_takes_numpy_numbers(cls, f):
+    """NumPy float32, float64 and integer values are stored as the field's
+    Python type with no warning; NaN, +-inf and a value outside the field's
+    range, or past float range, raise a ValueError that names it. A float32
+    compared with float max used to warn of an overflow in the cast."""
+    low, high = f.metadata["range"]
+    rgb = f.type in (tuple, "tuple")
+    kind = int if rgb else {"int": int, "float": float}.get(f.type, f.type)
+    whole = FIELD_OWNERS[cls][f.name]
+    whole = whole[0] if rgb else whole
+
+    def build(value):
+        return cls(**{**FIELD_OWNERS[cls], f.name: (value, 60, 60) if rgb else value})
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for number in (np.float32, np.float64, np.int64):
+            got = getattr(build(number(whole)), f.name)
+            got = got[0] if rgb else got
+            assert type(got) is kind and got == whole, number
+    outside = [low - 1] * (low > -math.inf) + [2 * high] * (high < math.inf)
+    if np.finfo(np.longdouble).max > np.finfo(np.float64).max:
+        outside.append(np.longdouble(10) ** 400)  # finite, but no float holds it
+    for value in [math.nan, math.inf, -math.inf, *outside]:
+        with pytest.raises(ValueError, match=f.name.replace("_", " ")):
+            build(value)

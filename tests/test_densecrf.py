@@ -1438,6 +1438,46 @@ class TestFixedPointStop:
         assert not any(keeps for _, _, keeps in calls)  # no later update could use them
 
 
+class _ForwardingFilters:
+    """A stand-in that forwards the two filter calls, as the benchmark's
+    traced replay does."""
+
+    def __init__(self, filters):
+        self.filters = filters
+
+    def filter_bilateral(self, q, timer=None):
+        return self.filters.filter_bilateral(q, timer)
+
+    def filter_spatial(self, q, timer=None):
+        return self.filters.filter_spatial(q, timer)
+
+
+@pytest.mark.parametrize("path,make", [("lattice", lambda: quadrant_case(40, 48, 1)),
+                                       ("stand-in", lambda: quadrant_case(40, 48, 1)),
+                                       ("exact", repeating_case)],
+                         ids=["lattice", "stand-in", "exact"])
+def test_update_tracks_rows_only_for_kept_vertex_values(path, make):
+    """Only an update that keeps the lattices' vertex values hands back the
+    rows it changed: with stages=None every update returns None for them,
+    also those that change at most PARTIAL_MAX_SHARE of the entries."""
+    unary, image, _ = make()
+    params = PairwiseParams()
+    filters = PairwiseFilters(image, params, "exact" if path == "exact" else "lattice")
+    if path == "stand-in":
+        filters = _ForwardingFilters(filters)
+    dtype = np.float64 if path == "exact" else np.float32
+    n = unary.height * unary.width
+    q = densecrf._posterior(unary, dtype).reshape(n, unary.labels)
+    theta = unary.theta.reshape(n, unary.labels)
+    w1, w12 = np.array([[params.w1]], dtype), np.array([[params.w1 + params.w2]], dtype)
+    few = 0
+    for _ in range(12):
+        count, rows = densecrf._update(q, theta, filters, w1, w12, params.w2, None)
+        assert rows is None
+        few += count <= densecrf.PARTIAL_MAX_SHARE * q.size
+    assert few
+
+
 def bench_case(height, width, seed):
     """A bench scene at factor 8: its costs upsampled from the coarse grid,
     as `refine --factor 8` makes them, in float64."""

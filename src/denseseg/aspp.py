@@ -10,6 +10,8 @@ trained.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,11 +20,16 @@ import numpy as np
 from denseseg.atrous import (
     AtrousRate,
     ConvKernel,
+    _conv2d_accumulate,
     _rate_value,
     _resample_bilinear,
-    atrous_conv_2d_holes,
 )
 from denseseg.core import FeatureMap, ShapeError
+
+# Output rows per band in aspp_forward. On a 2-core host running ASPP-L
+# (deeplab_front), 16- and 32-row bands raised peak RSS from 137 MB to 145
+# and 161 MB, and were no faster.
+BAND_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -86,16 +93,54 @@ class AsppConfig:
         return self.branches[0].c_out
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _branch_rows(x: np.ndarray, rate: int, weights: list, rows: tuple[int, int]) -> np.ndarray:
+    """One branch's float32 scores on output rows `rows` of float64 map `x`.
+
+    Each stage's output is cast to float32 and checked as a FeatureMap, as
+    atrous_conv_2d_holes does; the 1x1 stages need only the band's rows.
+    """
+    y = FeatureMap(_conv2d_accumulate(x, weights[0], rate, True, rows).astype(np.float32))
+    for w in weights[1:]:
+        y = FeatureMap(_conv2d_accumulate(y.data.astype(np.float64), w, 1, True).astype(np.float32))
+    return y.data
+
+
 def aspp_forward(fm: FeatureMap, cfg: AsppConfig) -> FeatureMap:
-    """Run every branch on the same map and sum the branch scores."""
+    """Run every branch on the same map and sum the branch scores.
+
+    Every branch runs in bands of BAND_ROWS output rows, on a thread per
+    usable CPU up to one per band, and this thread adds each band into the
+    float64 total in branch order. The bands depend only on the map's
+    height and a band's sums are the whole map's, so the bytes are those of
+    the whole-map atrous_conv_2d_holes chain, for any CPU count.
+    """
     if fm.channels != cfg.c_in:
         raise ShapeError(f"input has {fm.channels} channels, pyramid expects {cfg.c_in}")
+    x = fm.data.astype(np.float64)
+    bands = [(r0, min(r0 + BAND_ROWS, fm.height)) for r0 in range(0, fm.height, BAND_ROWS)]
+    chains = [(b.rate.r, [k.weights.astype(np.float64) for k in b.kernels]) for b in cfg.branches]
+    units = [(rate, weights, rows) for rate, weights in chains for rows in bands]
     total = np.zeros((fm.height, fm.width, cfg.c_out), dtype=np.float64)
-    for branch in cfg.branches:
-        y = atrous_conv_2d_holes(fm, branch.kernels[0], branch.rate, padding=True)
-        for kernel in branch.kernels[1:]:
-            y = atrous_conv_2d_holes(y, kernel, 1, padding=True)
-        total += y.data
+
+    def run(unit: tuple) -> np.ndarray:
+        return _branch_rows(x, *unit)
+
+    def add(scores) -> None:
+        for (_, _, (r0, r1)), y in zip(units, scores):
+            total[r0:r1] += y
+
+    workers = min(len(bands), _usable_cpus())
+    if workers == 1:
+        add(map(run, units))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            add(pool.map(run, units))
     return FeatureMap(total.astype(np.float32))
 
 

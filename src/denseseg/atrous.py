@@ -11,6 +11,11 @@ position, tap contributions are added in row-major tap order, each contribution
 a float64 product reduced over input channels; the float64 accumulator is cast
 to float32 once at the end. Taps meeting only zero padding are skipped, not
 multiplied: their terms are exact zeros, so the sums are the padded ones.
+A row band of the output gets the whole map's sums: its windows are row
+slices of the whole map's, and BLAS forms each row of a product apart from
+the rows beside it. (OpenBLAS's SkylakeX kernels can move a last float64 bit
+in one-row products and at some output widths, such as 17-20; the float32
+cast has absorbed every such bit on the shapes tested.)
 """
 
 from __future__ import annotations
@@ -89,30 +94,34 @@ def _output_size(h: int, w: int, kh: int, kw: int, r: int, padding: bool) -> tup
     return out_h, out_w
 
 
-def _conv2d_accumulate(x: np.ndarray, w: np.ndarray, r: int, padding: bool) -> np.ndarray:
+def _conv2d_accumulate(
+    x: np.ndarray, w: np.ndarray, r: int, padding: bool, rows: tuple[int, int] | None = None
+) -> np.ndarray:
     """Shared rate-r correlation core on float64 arrays; returns float64.
 
     With padding, the tap anchor is the kernel center (k-1)//2 per axis, so
     even kernels anchor one short of the middle and the extra zero padding
     lands after the data. No padding is built: each tap adds its product only
     where its input samples lie in the map, and the accumulator starts at
-    +0.0, so the skipped exact-zero terms change no bit.
+    +0.0, so the skipped exact-zero terms change no bit. `rows` = (r0, r1)
+    computes only output rows r0..r1-1, as an (r1 - r0)-row array.
     """
     kh, kw, c_in, c_out = w.shape
     h, wid = x.shape[:2]
     out_h, out_w = _output_size(h, wid, kh, kw, r, padding)
+    r0, r1 = rows or (0, out_h)
     anchor_h, anchor_w = ((kh - 1) // 2, (kw - 1) // 2) if padding else (0, 0)
-    acc = np.zeros((out_h, out_w, c_out), dtype=np.float64)
+    acc = np.zeros((r1 - r0, out_w, c_out), dtype=np.float64)
     for i in range(kh):
         dy = (i - anchor_h) * r
-        y0, y1 = max(0, -dy), min(out_h, h - dy)
+        y0, y1 = max(r0, -dy), min(r1, h - dy)
         for j in range(kw):
             dx = (j - anchor_w) * r
             x0, x1 = max(0, -dx), min(out_w, wid - dx)
             if y0 >= y1 or x0 >= x1:
                 continue
             window = np.ascontiguousarray(x[y0 + dy : y1 + dy, x0 + dx : x1 + dx])
-            rect = acc[y0:y1, x0:x1]
+            rect = acc[y0 - r0 : y1 - r0, x0:x1]
             rect += (window.reshape(-1, c_in) @ w[i, j]).reshape(rect.shape)
     return acc
 

@@ -26,8 +26,22 @@ from .metrics import IGNORE_LABEL, check_label_count
 MAX_NOISE = 1e300
 
 
+def _clip(lo: int, hi: int, n: int) -> slice:
+    """[lo, hi) cut to [0, n)."""
+    return slice(min(max(lo, 0), n), min(max(hi, 0), n))
+
+
+class _Shape:
+    def mask(self, height: int, width: int) -> np.ndarray:
+        """The shape's pixels on a height x width grid."""
+        rows, cols, inside = self.box(height, width)
+        m = np.zeros((height, width), dtype=bool)
+        m[rows, cols] = inside
+        return m
+
+
 @dataclass(frozen=True)
-class Rect:
+class Rect(_Shape):
     """Axis-aligned filled rectangle."""
 
     label: int = _in(1, IGNORE_LABEL - 1)  # 0 is background
@@ -44,14 +58,16 @@ class Rect:
     def fits(self, height: int, width: int) -> bool:
         return self.top + self.height <= height and self.left + self.width <= width
 
-    def mask(self, height: int, width: int) -> np.ndarray:
-        m = np.zeros((height, width), dtype=bool)
-        m[self.top : self.top + self.height, self.left : self.left + self.width] = True
-        return m
+    def box(self, height: int, width: int) -> tuple:
+        """(rows, cols, inside): the bounding box's slices, cut to a height x
+        width grid, and the shape's pixels in it as a boolean box."""
+        rows = _clip(self.top, self.top + self.height, height)
+        cols = _clip(self.left, self.left + self.width, width)
+        return rows, cols, np.ones((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
 
 
 @dataclass(frozen=True)
-class Disk:
+class Disk(_Shape):
     """Filled disk: pixels with (y - row)^2 + (x - col)^2 <= radius^2."""
 
     label: int = _in(1, IGNORE_LABEL - 1)
@@ -72,11 +88,17 @@ class Disk:
             and self.col + self.radius <= width - 1
         )
 
-    def mask(self, height: int, width: int) -> np.ndarray:
-        ys, xs = np.mgrid[0:height, 0:width]
+    def box(self, height: int, width: int) -> tuple:
+        """As Rect.box. A pixel more than floor(radius) rows or columns from
+        the centre fails the test, in floats too: d*d > radius*radius
+        rounded, for any integer d > radius."""
+        reach = math.floor(self.radius)
+        rows = _clip(self.row - reach, self.row + reach + 1, height)
+        cols = _clip(self.col - reach, self.col + reach + 1, width)
+        ys, xs = np.mgrid[rows, cols]
         dy = ys - self.row
         dx = xs - self.col
-        return dy * dy + dx * dx <= self.radius * self.radius
+        return rows, cols, dy * dy + dx * dx <= self.radius * self.radius
 
 
 @dataclass(frozen=True)
@@ -121,19 +143,21 @@ def render_scene(spec: SceneSpec) -> tuple:
 
     Every shape consumes one full-grid jitter field regardless of its
     jitter amplitude, so geometry edits never reshuffle the noise of the
-    shapes that follow.
+    shapes that follow. A shape writes only inside its bounding box.
     """
     rng, _ = _scene_rng(spec)
     h, w = spec.height, spec.width
     canvas = np.empty((h, w, 3), dtype=np.float64)
     canvas[:] = spec.background
     labels = np.zeros((h, w), dtype=np.uint8)
+    noise = np.empty((h, w, 3), dtype=np.float64)
     for shape in spec.shapes:
-        noise = rng.standard_normal((h, w, 3))
-        inside = shape.mask(h, w)
-        canvas[inside] = np.asarray(shape.color, dtype=np.float64)
-        canvas[inside] += shape.jitter * noise[inside]
-        labels[inside] = shape.label
+        rng.standard_normal(out=noise)
+        rows, cols, inside = shape.box(h, w)
+        box = canvas[rows, cols]
+        box[inside] = np.asarray(shape.color, dtype=np.float64)
+        box[inside] += shape.jitter * noise[rows, cols][inside]
+        labels[rows, cols][inside] = shape.label
     img = np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8)
     return RgbImage(img), LabelMap(labels)
 

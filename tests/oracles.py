@@ -249,6 +249,36 @@ def box_blur_bruteforce(plane, radius):
     return out
 
 
+def render_scene_full_masks(spec):
+    """Scene raster through full-grid masks, in shape order.
+
+    Each shape draws one full-grid normal jitter field from the scene's
+    first child stream, then writes its colour plus jitter and its label
+    wherever its full-grid membership test holds: the half-open rows and
+    columns of a rect, (y - row)^2 + (x - col)^2 <= radius^2 for a disk.
+    Rounds to the nearest integer and clips to uint8 at the end.
+    """
+    scene_child, _ = np.random.SeedSequence(spec.seed).spawn(2)
+    rng = np.random.default_rng(scene_child)
+    h, w = spec.height, spec.width
+    ys, xs = np.mgrid[0:h, 0:w]
+    canvas = np.empty((h, w, 3), dtype=np.float64)
+    canvas[:] = spec.background
+    labels = np.zeros((h, w), dtype=np.uint8)
+    for shape in spec.shapes:
+        noise = rng.standard_normal((h, w, 3))
+        if hasattr(shape, "radius"):
+            dy, dx = ys - shape.row, xs - shape.col
+            inside = dy * dy + dx * dx <= shape.radius * shape.radius
+        else:
+            inside = ((ys >= shape.top) & (ys < shape.top + shape.height)
+                      & (xs >= shape.left) & (xs < shape.left + shape.width))
+        canvas[inside] = np.asarray(shape.color, dtype=np.float64)
+        canvas[inside] += shape.jitter * noise[inside]
+        labels[inside] = shape.label
+    return np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8), labels
+
+
 def lattice_embed_reference(coords: np.ndarray):
     """Permutohedral embedding by the direct construction, for comparison.
 

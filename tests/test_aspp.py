@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from denseseg import aspp
 from denseseg.aspp import (
     AsppBranch,
     AsppConfig,
@@ -127,6 +130,83 @@ class TestAsppForward:
         cfg = random_config([2], c_in=3, hidden=4, labels=2)
         with pytest.raises(ShapeError):
             aspp_forward(fm, cfg)
+
+
+def whole_map_chain(fm: FeatureMap, cfg: AsppConfig) -> np.ndarray:
+    """Each branch's whole-map atrous_conv_2d_holes chain, summed in branch
+    order into a float64 total and cast to float32 once."""
+    total = np.zeros((fm.height, fm.width, cfg.c_out))
+    for branch in cfg.branches:
+        y = atrous_conv_2d_holes(fm, branch.kernels[0], branch.rate)
+        for kernel in branch.kernels[1:]:
+            y = atrous_conv_2d_holes(y, kernel, 1)
+        total += y.data
+    return total.astype(np.float32)
+
+
+# (height, width, c_in, hidden, labels, rates): heights off the band size,
+# a 1-row last band (17 = 2 * 8 + 1), one band, rates at or past the map's
+# side, a single-column window (width = rate + 1) that the band edge at row 8
+# cuts to one valid row, and the benchmark's three front-end map sizes.
+BAND_CASES = [
+    (13, 11, 3, 6, 4, (1, 2, 12)),
+    (17, 9, 5, 7, 3, (3, 9, 17)),
+    (1, 6, 4, 5, 2, (1, 6)),
+    (8, 8, 4, 4, 3, (8, 30)),
+    (5, 3, 2, 3, 2, (5, 4, 2)),
+    (13, 5, 128, 16, 5, (4,)),
+    (32, 24, 16, 32, 21, (6, 12, 18, 24)),
+    (47, 35, 16, 32, 21, (6, 12, 18, 24)),
+    (63, 47, 16, 32, 21, (6, 12, 18, 24)),
+]
+
+
+class TestBands:
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("h, w, c_in, hidden, labels, rates", BAND_CASES)
+    def test_bands_match_the_whole_map_chain(
+        self, monkeypatch, cpus, h, w, c_in, hidden, labels, rates
+    ):
+        monkeypatch.setattr(aspp, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(h * 1000 + w)
+        fm = FeatureMap(rng.normal(size=(h, w, c_in)).astype(np.float32))
+        cfg = random_config(rates, c_in=c_in, hidden=hidden, labels=labels, seed=h + w)
+        out = aspp_forward(fm, cfg)
+        assert out.data.tobytes() == whole_map_chain(fm, cfg).tobytes()
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(aspp, "_usable_cpus", lambda: 4)
+        rng = np.random.default_rng(80)
+        fm = FeatureMap(rng.normal(size=(20, 6, 3)).astype(np.float32))
+        cfg = random_config([1, 2], c_in=3, hidden=4, labels=2, seed=4)
+        before = threading.enumerate()
+        aspp_forward(fm, cfg)
+        assert threading.enumerate() == before
+
+        branch_rows = aspp._branch_rows
+
+        def fail_second_band(x, rate, weights, rows):
+            if rows[0] == aspp.BAND_ROWS:
+                raise RuntimeError("band failed")
+            return branch_rows(x, rate, weights, rows)
+
+        monkeypatch.setattr(aspp, "_branch_rows", fail_second_band)
+        with pytest.raises(RuntimeError, match="band failed"):
+            aspp_forward(fm, cfg)
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("cpus, height", [(1, 20), (4, aspp.BAND_ROWS)])
+    def test_one_cpu_or_one_band_starts_no_thread(self, monkeypatch, cpus, height):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was opened")
+
+        monkeypatch.setattr(aspp, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(aspp, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        rng = np.random.default_rng(81)
+        fm = FeatureMap(rng.normal(size=(height, 5, 2)).astype(np.float32))
+        cfg = random_config([1, 3], c_in=2, hidden=3, labels=2, seed=5)
+        assert aspp_forward(fm, cfg).data.tobytes() == whole_map_chain(fm, cfg).tobytes()
 
 
 class TestMultiscaleMaxFuse:

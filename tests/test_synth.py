@@ -24,7 +24,7 @@ from denseseg.synth import (
     scene_from_text,
 )
 
-from oracles import box_blur_bruteforce
+from oracles import box_blur_bruteforce, render_scene_full_masks
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 RED = (200, 60, 60)
@@ -235,6 +235,33 @@ class TestRenderScene:
         shape = Rect(label=1, top=1, left=1, height=2, width=2, color=RED)
         image, _ = render_scene(SceneSpec(height=4, width=4, shapes=(shape,)))
         assert tuple(image.data[1, 1]) == RED
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_full_grid_masks(self, seed):
+        """Random overlapping rects and disks with zero or positive jitter.
+        Rects run from the top-left corner or to the bottom-right one;
+        disks take integer radii, which reach the border when the centre's
+        room allows no more, or fractional ones."""
+        rng = np.random.default_rng(seed)
+        h, w = (int(n) for n in rng.integers(1, 40, size=2))
+        shapes = []
+        for k in range(int(rng.integers(2, 9))):
+            style = dict(label=int(rng.integers(1, 6)), jitter=float(rng.choice([0.0, 0.5, 30.0])),
+                         color=tuple(int(c) for c in rng.integers(0, 256, size=3)))
+            row, col = int(rng.integers(0, h)), int(rng.integers(0, w))
+            room = min(row, col, h - 1 - row, w - 1 - col)
+            if k % 2 and room > 0:
+                radius = float(room) if rng.random() < 0.5 else float(rng.uniform(0.2, room))
+                shapes.append(Disk(row=row, col=col, radius=radius, **style))
+            elif rng.random() < 0.5:
+                shapes.append(Rect(top=0, left=0, height=row + 1, width=col + 1, **style))
+            else:
+                shapes.append(Rect(top=row, left=col, height=h - row, width=w - col, **style))
+        spec = SceneSpec(height=h, width=w, shapes=tuple(shapes), seed=seed)
+        image, gt = render_scene(spec)
+        want_image, want_labels = render_scene_full_masks(spec)
+        assert image.data.tobytes() == want_image.tobytes()
+        assert gt.labels.tobytes() == want_labels.tobytes()
 
     def test_appending_a_shape_leaves_earlier_pixels_alone(self):
         rect = Rect(label=1, top=2, left=2, height=8, width=8, color=RED, jitter=3.0)

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from denseseg.atrous import (
+    BAND_ROWS,
     AtrousRate,
     ConvKernel,
     _conv2d_accumulate,
@@ -25,11 +26,6 @@ from denseseg.atrous import (
     _resample_bilinear,
 )
 from denseseg.core import FeatureMap, ShapeError
-
-# Output rows per band in aspp_forward. On a 2-core host running ASPP-L
-# (deeplab_front), 16- and 32-row bands raised peak RSS from 137 MB to 145
-# and 161 MB, and were no faster.
-BAND_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,10 @@ def multiscale_max_fuse(scores: Sequence[FeatureMap]) -> FeatureMap:
 
 
 def _scaled_size(n: int, scale: float) -> int:
-    return max(1, int(np.floor(n * scale + 0.5)))
+    size = n * scale + 0.5
+    if not np.isfinite(size):
+        raise ValueError(f"scale {scale!r} makes a side of {n} samples overflow")
+    return max(1, int(np.floor(size)))
 
 
 def rescale_pyramid(fm: FeatureMap, scales: Sequence[float]) -> list[FeatureMap]:

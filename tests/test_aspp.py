@@ -158,6 +158,16 @@ BAND_CASES = [
     (32, 24, 16, 32, 21, (6, 12, 18, 24)),
     (47, 35, 16, 32, 21, (6, 12, 18, 24)),
     (63, 47, 16, 32, 21, (6, 12, 18, 24)),
+    # Stage output widths 17, 18, 20, 33 and 36 over 16-64 input channels:
+    # OpenBLAS's SkylakeX kernels can move a float64 product row's last bit
+    # with the rows beside it at these widths, and on OpenBLAS 0.3.31 every
+    # case here has bands whose float64 sums differ from the whole map's.
+    # The float32 cast of each stage must absorb those bits.
+    (20, 13, 16, 17, 18, (1, 3)),
+    (19, 15, 64, 33, 20, (2, 7)),
+    (27, 19, 64, 36, 17, (3, 1)),
+    (20, 12, 16, 20, 33, (11, 1)),
+    (25, 9, 32, 18, 36, (4, 9)),
 ]
 
 
@@ -295,12 +305,21 @@ class TestRescalePyramid:
         with pytest.raises(TypeError):
             rescale_pyramid(np.zeros((3, 3)), [1.0])
 
+    def test_finite_scale_too_large_rejected(self):
+        """63 * 1e300 asks numpy for an impossible array and 63 * 1e308
+        overflows to inf; both are a ValueError, not an OverflowError."""
+        fm = FeatureMap(np.zeros((63, 47, 1), dtype=np.float32))
+        with pytest.raises(ValueError):
+            rescale_pyramid(fm, [1e300])
+        with pytest.raises(ValueError, match=r"scale 1e\+308"):
+            rescale_pyramid(fm, [1e308])
+
     @pytest.mark.parametrize("h, w, out_h", [(63, 47, 1), (126, 9, 63), (63, 47, 64),
                                              (63, 47, 65), (63, 47, 504), (1, 40, 130),
                                              (70, 1, 35), (1, 1, 66)])
     def test_equals_whole_array_oracle(self, h, w, out_h):
-        """Output heights 1, 63, 64, 65 and 504 sit at and across the 64-row
-        blocks, inputs with a 1-pixel axis included."""
+        """Output heights 1, 63, 64, 65 and 504, inputs with a 1-pixel axis
+        included."""
         rng = np.random.default_rng(h + out_h)
         fm = FeatureMap(rng.normal(size=(h, w, 3)).astype(np.float32))
         (out,) = rescale_pyramid(fm, [out_h / h])

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.ndimage
 
+from denseseg.aspp import rescale_pyramid
 from denseseg.atrous import (
     AtrousRate,
     ConvKernel,
+    _resample_bilinear,
     atrous_conv_2d_holes,
     atrous_conv_2d_subsampled,
     effective_kernel_size,
@@ -300,12 +304,35 @@ class TestUpsampleBilinear:
         with pytest.raises(ValueError):
             upsample_bilinear(fm, 2.0)
 
-    @pytest.mark.parametrize("h, w, factor", [(21, 3, 3), (8, 5, 8), (13, 4, 5),
-                                              (63, 47, 8), (1, 6, 4), (7, 1, 9)])
-    def test_row_blocks_equal_whole_array_oracle(self, h, w, factor):
-        """Output heights 63, 64, 65 and 504 sit at and across the 64-row
-        blocks; 1-pixel axes resample from one sample."""
-        fm, _ = random_case(64 + h, h=h, w=w, c_in=3)
-        out = upsample_bilinear(fm, factor)
-        assert out.height == h * factor
-        assert_same_bytes(out.data, reference_bilinear(fm.data, h * factor, w * factor))
+    @pytest.mark.parametrize("h, w, c, resize, out_h, out_w", [
+        (21, 3, 3, 3, 63, 9), (8, 5, 3, 8, 64, 40), (13, 4, 3, 5, 65, 20),
+        (63, 47, 3, 8, 504, 376), (1, 6, 3, 4, 4, 24), (7, 1, 3, 9, 63, 9),
+        (1, 5, 3, 7, 7, 35), (2, 3, 3, 4, 8, 12), (3, 1, 3, 3, 9, 3),
+        (5, 2, 3, 3, 15, 6), (1, 2, 3, 17, 17, 34),
+        (63, 47, 128, 0.5, 32, 24), (63, 47, 128, 0.75, 47, 35),
+        (32, 24, 21, 63 / 32, 63, 47), (47, 35, 21, 63 / 47, 63, 47),
+    ])
+    def test_row_blocks_equal_whole_array_oracle(self, h, w, c, resize, out_h, out_w):
+        """Output heights 7, 8, 9, 15, 17, 63, 64, 65 and 504 sit at and
+        across the BAND_ROWS-row bands, and 1-pixel axes resample from one
+        sample. An integer `resize` is an upsample_bilinear factor, a float a
+        rescale_pyramid scale: the last four are deeplab_front's pyramid."""
+        fm, _ = random_case(64 + h, h=h, w=w, c_in=c)
+        if isinstance(resize, int):
+            out = upsample_bilinear(fm, resize)
+        else:
+            (out,) = rescale_pyramid(fm, [resize])
+        assert (out.height, out.width) == (out_h, out_w)
+        assert_same_bytes(out.data, reference_bilinear(fm.data, out_h, out_w))
+
+    def test_band_scratch_stays_small(self):
+        """The float64 scratch is one band's, not the map's: the traced peak
+        of a 63x47x21 x8 resample stays within its output plus 2 MB."""
+        fm, _ = random_case(65, h=63, w=47, c_in=21)
+        tracemalloc.start()
+        try:
+            out = _resample_bilinear(fm.data, 504, 376)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2_000_000
